@@ -23,9 +23,9 @@ from .errors import (
 )
 from .fem import converge, mesh_cap, solve_case
 from .geometry import REFERENCE_GEOMETRY, from_radius_angle, solve_cap
-from .materials import default_library, load_library_file
+from .materials import MaterialLibrary, default_library, load_library_file
 from .report import parse_config_file, run_study
-from .screening import ScreeningCriteria, classify, min_thickness, screen
+from .screening import ScreeningCriteria, screen
 from .shell_model import ShellCase, apex_deflection, profile
 from .stats import anova_table, effect_tests, effects_to_csv_text, effects_to_json, fit_screening_model
 from .units import ATM_PA, atm_to_pa
@@ -48,10 +48,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"globtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, materials=True):
-        if materials:
-            p.add_argument("--materials", help="material library JSON (default: bundled)")
-            p.add_argument("--material", help="material name from the library")
+    def add_common(p):
+        p.add_argument("--materials", help="material library JSON (default: bundled)")
+        p.add_argument("--material", help="material name from the library")
         p.add_argument("--atm-pa", type=float, default=ATM_PA,
                        help="pascals per atmosphere (default 101325)")
         p.add_argument("--radius-um", type=float, help="cap sphere radius, um")
@@ -186,10 +185,7 @@ def _cmd_deflect(args) -> int:
 def _cmd_plan(args) -> int:
     library = _library_from(args)
     plan = default_plan(library, args.thickness_levels_um, args.pressure_levels_atm)
-    if args.out:
-        plan_to_csv(plan, args.out)
-    else:
-        plan_to_csv(plan, sys.stdout)
+    plan_to_csv(plan, args.out or sys.stdout)
     return 0
 
 
@@ -243,30 +239,26 @@ def _cmd_anova(args) -> int:
 
 def _cmd_optimize(args) -> int:
     geom = _geometry_from(args)
-    library = _library_from(args)
+    if args.material:
+        library = MaterialLibrary(materials=(_material_from(args),))
+    else:
+        library = _library_from(args)
     criteria = ScreeningCriteria(
         deflection_limit_um=args.limit_um,
         max_pressure_atm=args.max_pressure_atm,
         max_thickness_um=args.max_thickness_um,
     )
-    if args.material:
-        materials = [_material_from(args)]
-    else:
-        materials = list(library)
-    p_pa = atm_to_pa(criteria.max_pressure_atm, args.atm_pa)
-    rows = []
-    for mat in materials:
-        t_min = min_thickness(mat, geom, p_pa, criteria.deflection_limit_um)
-        rows.append((mat.name, t_min, classify(t_min, criteria)))
-    rows.sort(key=lambda r: (r[1], r[0]))
+    verdicts = screen(library, geom, criteria, "analytical", atm_pa=args.atm_pa)
     if args.format == "json":
         print(json.dumps([
-            {"material": name, "min_feasible_thickness_um": t, "classification": c}
-            for name, t, c in rows
+            {"material": v.material_name, "min_feasible_thickness_um": v.min_feasible_thickness_um,
+             "classification": v.classification}
+            for v in verdicts
         ], indent=2, sort_keys=True))
     else:
-        for name, t, c in rows:
-            print(f"{name}: t_min = {t:.4f} um ({c}, cap {criteria.max_thickness_um:g} um)")
+        for v in verdicts:
+            print(f"{v.material_name}: t_min = {v.min_feasible_thickness_um:.4f} um "
+                  f"({v.classification}, cap {criteria.max_thickness_um:g} um)")
     return 0
 
 
@@ -337,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except GlobtopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

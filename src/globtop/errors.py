@@ -2,10 +2,14 @@
 
 Everything raised deliberately by this package derives from GlobtopError, so
 callers can catch one type at the CLI boundary.  Validation problems are also
-ValueErrors, numerical failures are not.
+ValueErrors, numerical failures are not.  ``real`` is the one check that a
+value is a number, shared by the config schema and the domain constructors.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class GlobtopError(Exception):
@@ -47,3 +51,20 @@ class StageError(GlobtopError):
         self.stage = stage
         self.original = original
         super().__init__(f"stage {stage!r} failed: {original}")
+
+
+def real(name: str, value, *, finite: bool = True, error: type = InputDomainError) -> float:
+    """``value`` as a float if it is a real number, else raise ``error``.
+
+    bool, str and None are not numbers here, although float() takes them.
+    ``finite=False`` lets inf and NaN through to a caller that checks them.
+    """
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            number = float(value)
+            if not finite or math.isfinite(number):
+                return number
+    except OverflowError:
+        pass
+    kind = "finite number" if finite else "number"
+    raise error(f"{name} must be a {kind}, got {value!r}")

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError, InputDomainError
+from .errors import ConfigError, InputDomainError, real
 
 
 class ThinShellWarning(UserWarning):
@@ -29,8 +29,8 @@ THINNESS_LIMIT = 0.1
 
 
 def _require_finite_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
+    value = real(name, value)
+    if value <= 0.0:
         raise InputDomainError(f"{name} must be finite and positive, got {value!r}")
     return value
 
@@ -117,8 +117,8 @@ def solve_cap(base_half_width_um: float, rise_um: float) -> CapGeometry:
 def from_radius_angle(radius_um: float, base_angle_deg: float) -> CapGeometry:
     """Build the cap from sphere radius and base angle in degrees."""
     a = _require_finite_positive("radius_um", radius_um)
-    alpha = math.radians(float(base_angle_deg))
-    if not math.isfinite(alpha) or not 0.0 < alpha <= math.pi / 2:
+    alpha = math.radians(real("base_angle_deg", base_angle_deg))
+    if not 0.0 < alpha <= math.pi / 2:
         raise InputDomainError(
             f"base_angle_deg must lie in (0, 90], got {base_angle_deg!r}"
         )

@@ -4,21 +4,21 @@ Library files are JSON:
 
     {"materials": [{"name": ..., "youngs_modulus_gpa": ..., "poisson_ratio": ...}, ...]}
 
-The modulus is stored in GPa exactly as read, so serialize/load round-trips
-are field-exact; physics code uses the youngs_modulus_pa property.
+The modulus is stored in GPa as the float of the value read, so
+serialize/load round-trips are field-exact; physics code uses the
+youngs_modulus_pa property.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ConfigError, InputDomainError
+from .errors import ConfigError, InputDomainError, real
 from .units import GPA_PA
 
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -39,16 +39,18 @@ class Material:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
             raise InputDomainError("material name must be a non-empty string")
-        e = float(self.youngs_modulus_gpa)
-        if not math.isfinite(e) or e <= 0.0:
+        e = real(f"{self.name}: youngs_modulus_gpa", self.youngs_modulus_gpa)
+        if e <= 0.0:
             raise InputDomainError(
-                f"{self.name}: youngs_modulus_gpa must be finite and positive, got {e!r}"
+                f"{self.name}: youngs_modulus_gpa must be positive, got {e!r}"
             )
-        nu = float(self.poisson_ratio)
-        if not math.isfinite(nu) or not 0.0 <= nu < 0.5:
+        nu = real(f"{self.name}: poisson_ratio", self.poisson_ratio)
+        if not 0.0 <= nu < 0.5:
             raise InputDomainError(
                 f"{self.name}: poisson_ratio must lie in [0, 0.5), got {nu!r}"
             )
+        object.__setattr__(self, "youngs_modulus_gpa", e)
+        object.__setattr__(self, "poisson_ratio", nu)
 
     @property
     def youngs_modulus_pa(self) -> float:
@@ -134,14 +136,8 @@ def load_library(text: str) -> MaterialLibrary:
         if extra:
             raise ConfigError(f"materials[{i}] has unknown keys {sorted(extra)}")
         try:
-            materials.append(
-                Material(
-                    name=entry["name"],
-                    youngs_modulus_gpa=entry["youngs_modulus_gpa"],
-                    poisson_ratio=entry["poisson_ratio"],
-                )
-            )
-        except (InputDomainError, TypeError, ValueError) as exc:
+            materials.append(Material(**entry))
+        except InputDomainError as exc:
             raise ConfigError(f"materials[{i}]: {exc}") from exc
     return MaterialLibrary(materials=tuple(materials))
 
@@ -151,7 +147,7 @@ def load_library_file(path: str | Path) -> MaterialLibrary:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read material library {path}: {exc}") from exc
     return load_library(text)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,7 +31,7 @@ from .doe import (
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, GlobtopError, StageError
+from .errors import ConfigError, InputDomainError, StageError, real
 from .fem import mesh_cap, solve_case
 from .geometry import CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library, load_library_file
@@ -54,10 +55,6 @@ from .stats import (
 )
 from .units import ATM_PA
 
-_DEFAULT_GEOMETRY = {"radius_um": 3010.0, "base_angle_deg": 23.5}
-_DEFAULT_THICKNESS = (150.0, 200.0, 250.0)
-_DEFAULT_PRESSURE = (80.0, 90.0, 100.0)
-
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -78,178 +75,151 @@ class StudyConfig:
     config_hash: str
 
 
-def _levels(raw, name: str) -> tuple[float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigError(f"{name} must be a list of 3 values")
-    try:
-        vals = tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{name} must be finite")
-    if not vals[0] < vals[1] < vals[2]:
-        raise ConfigError(f"{name} must be strictly increasing")
-    return vals
+# The config schema.  Each block is a table of rows (key, validator, default).
+# A validator takes the key's dotted path and its raw value (the default when
+# the key is absent) and returns the resolved value or raises a ConfigError
+# naming the path.  Where a domain constructor checks a value's range, the
+# row checks only the JSON type and _block names the key in the range error.
 
 
-def _column(raw, name: str) -> tuple[float, ...]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 9:
-        raise ConfigError(f"{name} must be a list of 9 values in run order")
-    vals = tuple(float(v) for v in raw)
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{name} must be finite")
-    return vals
+def _block(table, raw, path: str = "") -> dict:
+    """Resolve the mapping ``raw`` against ``table``: key -> resolved value."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path or 'config'} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - {key for key, _, _ in table}
+    if unknown:
+        raise ConfigError(f"{path or 'config'} has unknown keys: {sorted(unknown, key=str)}")
+    resolved = {}
+    for key, check, default in table:
+        where = f"{path}.{key}" if path else key
+        try:
+            resolved[key] = check(where, raw.get(key, default))
+        except InputDomainError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return resolved
+
+
+def _number(path: str, raw, finite: bool = True, positive: bool = False) -> float:
+    value = real(path, raw, finite=finite, error=ConfigError)
+    if positive and value <= 0.0:
+        raise ConfigError(f"{path} must be positive, got {raw!r}")
+    return value
+
+
+def _integer(minimum: int, path: str, raw) -> int:
+    if not _number(path, raw).is_integer() or raw < minimum:
+        raise ConfigError(f"{path} must be an integer of at least {minimum}, got {raw!r}")
+    return int(raw)
+
+
+def _numbers(n: int, path: str, raw) -> tuple[float, ...]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
+        raise ConfigError(f"{path} must be a list of {n} values")
+    return tuple(_number(f"{path}[{i}]", v) for i, v in enumerate(raw))
+
+
+def _levels(path: str, raw) -> tuple[float, float, float]:
+    levels = _numbers(3, path, raw)
+    if not levels[0] < levels[1] < levels[2]:
+        raise ConfigError(f"{path} must be strictly increasing")
+    return levels
+
+
+def _column(path: str, raw) -> tuple[float, ...] | None:
+    return None if raw is None else _numbers(9, path, raw)
+
+
+def _bc(path: str, raw) -> str:
+    if raw not in ("clamped", "pinned"):
+        raise ConfigError(f"{path} must be clamped or pinned, got {raw!r}")
+    return raw
+
+
+def _sources(path: str, raw) -> tuple[str, ...]:
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"{path} must be a non-empty list")
+    for s in raw:
+        if s not in SOURCES:
+            raise ConfigError(f"unknown source {s!r}; valid sources are {SOURCES}")
+    if len(set(raw)) != len(raw):
+        raise ConfigError(f"{path} must not repeat")
+    return tuple(raw)
+
+
+def _library(base_dir: Path | None, path: str, raw) -> MaterialLibrary:
+    if raw is None:
+        library = default_library()
+    elif isinstance(raw, str):
+        library = load_library_file(Path(base_dir or ".") / raw)
+    elif isinstance(raw, Mapping):
+        library = load_library(json.dumps(raw))
+    else:
+        raise ConfigError(f"{path} must be a path or an inline library object")
+    if len(library) != 3:
+        raise ConfigError(
+            f"{path} must hold exactly 3 materials, one per plan level, got {len(library)}"
+        )
+    return library
+
+
+_CRITERIA = (
+    ("deflection_limit_um", partial(_number, finite=False), ScreeningCriteria.deflection_limit_um),
+    ("max_pressure_atm", _number, ScreeningCriteria.max_pressure_atm),
+    ("max_thickness_um", _number, ScreeningCriteria.max_thickness_um),
+    ("thickness_range_um", partial(_numbers, 2), ScreeningCriteria.thickness_range_um),
+    ("pressure_range_atm", partial(_numbers, 2), ScreeningCriteria.pressure_range_atm),
+    ("marginal_band", _number, ScreeningCriteria.marginal_band),
+)
+_EXTERNAL = (("simulated_um", _column, None), ("calculated_um", _column, None))
+_FEM = (("n_elements", partial(_integer, 4), 256), ("bc", _bc, "clamped"))
+
+
+def _study_table(base_dir: Path | None) -> tuple:
+    return (
+        ("geometry", lambda _, raw: cap_from_config(raw),
+         {"radius_um": 3010.0, "base_angle_deg": 23.5}),
+        ("materials", partial(_library, base_dir), None),
+        ("thickness_levels_um", _levels, (150.0, 200.0, 250.0)),
+        ("pressure_levels_atm", _levels, (80.0, 90.0, 100.0)),
+        ("criteria", lambda path, raw: ScreeningCriteria(**_block(_CRITERIA, raw, path)), {}),
+        ("sources", _sources, ("analytical",)),
+        ("external", lambda path, raw: _block(_EXTERNAL, raw, path), {}),
+        ("fem", lambda path, raw: _block(_FEM, raw, path), {}),
+        ("atm_pa", partial(_number, positive=True), ATM_PA),
+        ("profile_points", partial(_integer, 2), 101),
+    )
+
+
+def _jsonable(value):
+    """The hashed JSON form of a resolved domain object."""
+    if isinstance(value, MaterialLibrary):
+        return list(value)
+    if isinstance(value, ScreeningCriteria):
+        return asdict(value)
+    return value.as_dict()
 
 
 def parse_config(doc: Mapping, base_dir: Path | None = None) -> StudyConfig:
     """Validate and resolve a config mapping into a StudyConfig."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("config must be a JSON object")
-    known = {
-        "geometry",
-        "materials",
-        "thickness_levels_um",
-        "pressure_levels_atm",
-        "criteria",
-        "sources",
-        "external",
-        "fem",
-        "atm_pa",
-        "profile_points",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-
-    geometry_block = dict(doc.get("geometry", _DEFAULT_GEOMETRY))
-    geometry = cap_from_config(geometry_block)
-
-    materials_raw = doc.get("materials")
-    if materials_raw is None:
-        library = default_library()
-    elif isinstance(materials_raw, str):
-        path = Path(materials_raw)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        library = load_library_file(path)
-    elif isinstance(materials_raw, Mapping):
-        library = load_library(json.dumps(materials_raw))
-    else:
-        raise ConfigError("materials must be a path or an inline library object")
-
-    t_levels = _levels(doc.get("thickness_levels_um", _DEFAULT_THICKNESS), "thickness_levels_um")
-    p_levels = _levels(doc.get("pressure_levels_atm", _DEFAULT_PRESSURE), "pressure_levels_atm")
-
-    crit_block = doc.get("criteria", {})
-    if not isinstance(crit_block, Mapping):
-        raise ConfigError("criteria must be an object")
-    crit_known = {
-        "deflection_limit_um",
-        "max_pressure_atm",
-        "max_thickness_um",
-        "thickness_range_um",
-        "pressure_range_atm",
-        "marginal_band",
-    }
-    crit_unknown = set(crit_block) - crit_known
-    if crit_unknown:
-        raise ConfigError(f"criteria has unknown keys: {sorted(crit_unknown)}")
-    crit_kwargs = dict(crit_block)
-    for key in ("thickness_range_um", "pressure_range_atm"):
-        if key in crit_kwargs:
-            pair = crit_kwargs[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"criteria.{key} must be a pair")
-            crit_kwargs[key] = tuple(float(v) for v in pair)
-    try:
-        criteria = ScreeningCriteria(**crit_kwargs)
-    except GlobtopError as exc:
-        raise ConfigError(f"criteria: {exc}") from exc
-
-    sources_raw = doc.get("sources", ["analytical"])
-    if not isinstance(sources_raw, (list, tuple)) or not sources_raw:
-        raise ConfigError("sources must be a non-empty list")
-    sources = tuple(sources_raw)
-    for s in sources:
-        if s not in SOURCES:
-            raise ConfigError(f"unknown source {s!r}; valid sources are {SOURCES}")
-    if len(set(sources)) != len(sources):
-        raise ConfigError("sources must not repeat")
-
-    external_block = doc.get("external", {})
-    if not isinstance(external_block, Mapping):
-        raise ConfigError("external must be an object")
-    ext_unknown = set(external_block) - {"simulated_um", "calculated_um"}
-    if ext_unknown:
-        raise ConfigError(f"external has unknown keys: {sorted(ext_unknown)}")
-    simulated = calculated = None
-    if "simulated_um" in external_block:
-        simulated = _column(external_block["simulated_um"], "external.simulated_um")
-    if "calculated_um" in external_block:
-        calculated = _column(external_block["calculated_um"], "external.calculated_um")
-    if "external" in sources and simulated is None:
+    resolved = _block(_study_table(base_dir), doc)
+    external, fem = resolved["external"], resolved["fem"]
+    if "external" in resolved["sources"] and external["simulated_um"] is None:
         raise ConfigError('source "external" requires external.simulated_um')
-
-    fem_block = doc.get("fem", {})
-    if not isinstance(fem_block, Mapping):
-        raise ConfigError("fem must be an object")
-    fem_unknown = set(fem_block) - {"n_elements", "bc"}
-    if fem_unknown:
-        raise ConfigError(f"fem has unknown keys: {sorted(fem_unknown)}")
-    fem_elements = int(fem_block.get("n_elements", 256))
-    if fem_elements < 4:
-        raise ConfigError(f"fem.n_elements must be at least 4, got {fem_elements}")
-    fem_bc = fem_block.get("bc", "clamped")
-    if fem_bc not in ("clamped", "pinned"):
-        raise ConfigError(f"fem.bc must be clamped or pinned, got {fem_bc!r}")
-
-    atm_pa = float(doc.get("atm_pa", ATM_PA))
-    if not math.isfinite(atm_pa) or atm_pa <= 0.0:
-        raise ConfigError(f"atm_pa must be finite and positive, got {atm_pa!r}")
-
-    profile_points = int(doc.get("profile_points", 101))
-    if profile_points < 2:
-        raise ConfigError(f"profile_points must be at least 2, got {profile_points}")
-
-    resolved = {
-        "geometry": geometry.as_dict(),
-        "materials": [m.as_dict() for m in library],
-        "thickness_levels_um": list(t_levels),
-        "pressure_levels_atm": list(p_levels),
-        "criteria": {
-            "deflection_limit_um": criteria.deflection_limit_um,
-            "max_pressure_atm": criteria.max_pressure_atm,
-            "max_thickness_um": criteria.max_thickness_um,
-            "thickness_range_um": list(criteria.thickness_range_um),
-            "pressure_range_atm": list(criteria.pressure_range_atm),
-            "marginal_band": criteria.marginal_band,
-        },
-        "sources": list(sources),
-        "external": {
-            "simulated_um": list(simulated) if simulated else None,
-            "calculated_um": list(calculated) if calculated else None,
-        },
-        "fem": {"n_elements": fem_elements, "bc": fem_bc},
-        "atm_pa": atm_pa,
-        "profile_points": profile_points,
-    }
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"), default=_jsonable)
     return StudyConfig(
-        geometry=geometry,
-        library=library,
-        thickness_levels_um=t_levels,
-        pressure_levels_atm=p_levels,
-        criteria=criteria,
-        sources=sources,
-        external_simulated_um=simulated,
-        external_calculated_um=calculated,
-        fem_elements=fem_elements,
-        fem_bc=fem_bc,
-        atm_pa=atm_pa,
-        profile_points=profile_points,
-        config_hash=config_hash,
+        geometry=resolved["geometry"],
+        library=resolved["materials"],
+        thickness_levels_um=resolved["thickness_levels_um"],
+        pressure_levels_atm=resolved["pressure_levels_atm"],
+        criteria=resolved["criteria"],
+        sources=resolved["sources"],
+        external_simulated_um=external["simulated_um"],
+        external_calculated_um=external["calculated_um"],
+        fem_elements=fem["n_elements"],
+        fem_bc=fem["bc"],
+        atm_pa=resolved["atm_pa"],
+        profile_points=resolved["profile_points"],
+        config_hash=hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
     )
 
 
@@ -360,8 +330,33 @@ def _responses(config: StudyConfig, plan: ExperimentPlan, source: str):
     return realize_responses(plan, config.external_simulated_um, source="external")
 
 
+def _comparison_sources(config: StudyConfig) -> tuple[str, str] | None:
+    """The (simulated, calculated) columns a study compares, if it has both.
+
+    A given external column wins over the source that would stand in for it.
+    """
+    sim = "external" if config.external_simulated_um is not None else "fem"
+    calc = "external_calculated" if config.external_calculated_um is not None else "analytical"
+    available = {"external", "external_calculated", *config.sources}
+    return (sim, calc) if {sim, calc} <= available else None
+
+
+def _artifact_names(sources, slugs, comparison) -> set[str]:
+    """The files a study writes; with "*" for the names, the patterns of all."""
+    names = {"plan.csv", "verdicts.csv", "verdicts.json", "report.json"}
+    names |= {"comparison.csv"} if comparison else set()
+    for s in sources:
+        names |= {f"responses_{s}.csv", f"anova_{s}.csv", f"anova_{s}.json"}
+        names |= {f"effects_{s}.csv", f"effects_{s}.json"}
+    return names | {f"profile_{slug}.{ext}" for slug in slugs for ext in ("csv", "svg")}
+
+
 def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
-    """Run every stage and write all artifacts into ``out_dir``."""
+    """Run every stage and write all artifacts into ``out_dir``.
+
+    Before the first stage, artifacts of an earlier study in ``out_dir``
+    that this one will not write are removed; other files are left alone.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stale = out / "STALE"
@@ -374,6 +369,12 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
             raise StageError(name, exc) from exc
 
     stale.unlink(missing_ok=True)
+    pair = _comparison_sources(config)
+    keep = _artifact_names(config.sources, [_slug(m.name) for m in config.library], pair)
+    for pattern in _artifact_names(["*"], ["*"], True):
+        for path in out.glob(pattern):
+            if path.name not in keep and path.is_file():
+                path.unlink()
 
     plan = stage("plan", lambda: default_plan(
         config.library, config.thickness_levels_um, config.pressure_levels_atm
@@ -391,24 +392,13 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         )
 
     comparison = None
-    comparison_sources = None
-    simulated = calculated = None
-    sim_name = calc_name = ""
-    if config.external_simulated_um is not None:
-        simulated, sim_name = config.external_simulated_um, "external"
-    elif "fem" in responses:
-        simulated = tuple(r.response_um for r in responses["fem"])
-        sim_name = "fem"
-    if config.external_calculated_um is not None:
-        calculated, calc_name = config.external_calculated_um, "external_calculated"
-    elif "analytical" in responses:
-        calculated = tuple(r.response_um for r in responses["analytical"])
-        calc_name = "analytical"
-    if simulated is not None and calculated is not None:
-        comparison = stage(
-            "comparison", lambda: compare_columns(simulated, calculated)
+    if pair is not None:
+        columns = {s: tuple(r.response_um for r in rs) for s, rs in responses.items()}
+        columns.update(
+            external=config.external_simulated_um,
+            external_calculated=config.external_calculated_um,
         )
-        comparison_sources = (sim_name, calc_name)
+        comparison = stage("comparison", lambda: compare_columns(*(columns[s] for s in pair)))
         stage("comparison", lambda: _write_comparison(comparison, out / "comparison.csv"))
 
     analyses = []
@@ -453,7 +443,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         plan=plan,
         analyses=tuple(analyses),
         comparison=comparison,
-        comparison_sources=comparison_sources,
+        comparison_sources=pair,
     )
     stage("report", lambda: _write_report_json(out / "report.json", report))
     return report

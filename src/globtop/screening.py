@@ -27,8 +27,8 @@ from typing import Sequence
 
 from scipy.optimize import brentq
 
-from .errors import ConfigError, InputDomainError, SolverError
-from .fem import mesh_cap, solve_case
+from .errors import ConfigError, InputDomainError, SolverError, real
+from .fem import ShellMesh, mesh_cap, solve_case
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase, apex_coefficient, apex_deflection
@@ -52,22 +52,26 @@ class ScreeningCriteria:
     marginal_band: float = 0.05
 
     def __post_init__(self) -> None:
-        limit = float(self.deflection_limit_um)
+        limit = real("deflection_limit_um", self.deflection_limit_um, finite=False)
         if math.isnan(limit) or limit <= 0.0:
             raise InputDomainError(
                 f"deflection_limit_um must be positive (inf allowed), got {limit!r}"
             )
+        object.__setattr__(self, "deflection_limit_um", limit)
         for name in ("max_pressure_atm", "max_thickness_um"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
+            v = real(name, getattr(self, name))
+            if v <= 0.0:
                 raise InputDomainError(f"{name} must be finite and positive, got {v!r}")
+            object.__setattr__(self, name, v)
         for name in ("thickness_range_um", "pressure_range_atm"):
-            lo, hi = (float(v) for v in getattr(self, name))
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+            lo, hi = (real(name, v) for v in getattr(self, name))
+            if not 0.0 < lo < hi:
                 raise InputDomainError(f"{name} must be an increasing positive pair")
-        band = float(self.marginal_band)
+            object.__setattr__(self, name, (lo, hi))
+        band = real("marginal_band", self.marginal_band)
         if not 0.0 <= band < 1.0:
             raise InputDomainError(f"marginal_band must lie in [0, 1), got {band!r}")
+        object.__setattr__(self, "marginal_band", band)
 
 
 def min_thickness(
@@ -150,19 +154,16 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
 
 def _fem_min_thickness(
     material: Material,
-    geometry: CapGeometry,
+    mesh: ShellMesh,
     pressure_pa: float,
     limit_um: float,
     bc: str,
-    n_elements: int,
 ) -> float:
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
 
     def excess(t_um: float) -> float:
-        mesh = mesh_cap(geometry, n_elements)
-        sol = solve_case(mesh, t_um, material, pressure_pa, bc)
-        return sol.apex_deflection_um - limit_um
+        return solve_case(mesh, t_um, material, pressure_pa, bc).apex_deflection_um - limit_um
 
     lo, hi = 1.0, 5000.0
     f_lo = excess(lo)
@@ -220,6 +221,8 @@ def screen(
         raise ConfigError("external screening requires a fitted screening model")
     p_max = atm_to_pa(criteria.max_pressure_atm, atm_pa)
     limit = criteria.deflection_limit_um
+    if source == "fem":
+        mesh = mesh_cap(geometry, fem_elements)
     verdicts = []
     for mat in library:
         if source == "analytical":
@@ -228,14 +231,8 @@ def screen(
                 ShellCase(geometry, criteria.max_thickness_um, mat, p_max)
             )
         elif source == "fem":
-            t_min = _fem_min_thickness(mat, geometry, p_max, limit, fem_bc, fem_elements)
-            worst = solve_case(
-                mesh_cap(geometry, fem_elements),
-                criteria.max_thickness_um,
-                mat,
-                p_max,
-                fem_bc,
-            ).apex_deflection_um
+            t_min = _fem_min_thickness(mat, mesh, p_max, limit, fem_bc)
+            worst = solve_case(mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
         else:
             t_min = _fit_min_thickness(fit, mat.name, criteria)
             worst = fit.predict(

@@ -58,6 +58,31 @@ class TestTopLevel:
         assert "globtop" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deflect", "--material", "Polyimide", "--thickness-um", "150",
+         "--pressure-atm", "80", "--profile-points", "5"],
+        ["fem", "--material", "Polyimide", "--thickness-um", "150",
+         "--pressure-atm", "80", "--n-elements", "8"],
+        ["plan"],
+        ["study", "--config", "CONFIG"],
+    ],
+    ids=["deflect", "fem", "plan", "study"],
+)
+def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"profile_points": 5}), encoding="utf-8")
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    out = blocker / "x" if argv[0] == "study" else tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestGeometry:
     def test_solve_from_chord(self, capsys):
         code, out, _ = run_cli(capsys, "geometry", "--b-um", "1200", "--h-um", "250")

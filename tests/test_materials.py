@@ -63,15 +63,20 @@ class TestMaterialValidation:
         with pytest.raises(InputDomainError, match="poisson_ratio"):
             gt.Material("x", 10.0, 0.5)
 
-    @pytest.mark.parametrize("nu", [-0.01, 0.75, float("nan")])
+    @pytest.mark.parametrize("nu", [-0.01, 0.75, float("nan"), "0.3", True, None])
     def test_poisson_out_of_range(self, nu):
         with pytest.raises(InputDomainError):
             gt.Material("x", 10.0, nu)
 
-    @pytest.mark.parametrize("e", [0.0, -7.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("e", [0.0, -7.5, float("nan"), float("inf"), "3", True, None])
     def test_modulus_must_be_positive_finite(self, e):
         with pytest.raises(InputDomainError):
             gt.Material("x", e, 0.3)
+
+    def test_values_are_stored_as_floats(self):
+        m = gt.Material("x", 3, 0)
+        assert type(m.youngs_modulus_gpa) is float
+        assert type(m.poisson_ratio) is float
 
     def test_name_must_be_nonempty(self):
         with pytest.raises(InputDomainError):

@@ -1,6 +1,11 @@
+import contextlib
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import globtop as gt
 from globtop.errors import ConfigError, StageError
@@ -47,6 +52,56 @@ FULL_ARTIFACTS = {
     "profile_carbon_epoxy_resin.svg",
     "report.json",
 }
+
+
+def _library_doc(*moduli_gpa):
+    return {
+        "materials": [
+            {"name": f"m{i}", "youngs_modulus_gpa": e, "poisson_ratio": 0.3}
+            for i, e in enumerate(moduli_gpa)
+        ]
+    }
+
+
+# Any JSON value, for the schema fuzz test.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=20,
+)
+CONFIG_KEYS = [
+    (key,)
+    for key in (
+        "geometry",
+        "materials",
+        "thickness_levels_um",
+        "pressure_levels_atm",
+        "criteria",
+        "sources",
+        "external",
+        "fem",
+        "atm_pa",
+        "profile_points",
+    )
+] + [
+    (block, key)
+    for block, keys in (
+        (
+            "criteria",
+            (
+                "deflection_limit_um",
+                "max_pressure_atm",
+                "max_thickness_um",
+                "thickness_range_um",
+                "pressure_range_atm",
+                "marginal_band",
+            ),
+        ),
+        ("fem", ("n_elements", "bc")),
+        ("external", ("simulated_um", "calculated_um")),
+    )
+    for key in keys
+]
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +188,55 @@ class TestParseConfig:
             ({"atm_pa": 0.0}, "atm_pa"),
             ({"profile_points": 1}, "profile_points"),
             ({"materials": 7}, "materials"),
+            (
+                {
+                    "sources": ["analytical", "external"],
+                    "external": {"simulated_um": ["x"] + [1.0] * 8},
+                },
+                "external.simulated_um",
+            ),
+            ({"fem": {"n_elements": "abc"}}, "fem.n_elements"),
+            ({"fem": {"n_elements": 48.5}}, "fem.n_elements"),
+            ({"atm_pa": "abc"}, "atm_pa"),
+            ({"atm_pa": [1]}, "atm_pa"),
+            ({"criteria": {"thickness_range_um": ["a", "b"]}}, "thickness_range_um"),
+            ({"geometry": {"radius_um": "x", "base_angle_deg": 23.5}}, "radius_um"),
+            ({"criteria": {"max_pressure_atm": None}}, "max_pressure_atm"),
+            ({"geometry": None}, "geometry"),
+            ({"criteria": {"deflection_limit_um": "5"}}, "deflection_limit_um"),
+            ({"criteria": {"marginal_band": "0.1"}}, "marginal_band"),
+            ({"profile_points": 2.7}, "profile_points"),
+            ({"thickness_levels_um": [True, 2, 3]}, "thickness_levels_um"),
+            ({"materials": _library_doc(1.0, 2.0)}, "exactly 3 materials"),
+            ({"materials": _library_doc("3", 2.0, 3.0)}, "youngs_modulus_gpa"),
+            ({"materials": _library_doc(True, 2.0, 3.0)}, "youngs_modulus_gpa"),
         ],
     )
     def test_rejections(self, doc, hint):
         with pytest.raises(ConfigError, match=hint):
             parse_config(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CONFIG_KEYS), JSON_VALUES)
+    def test_any_json_value_parses_or_raises_config_error(self, key, value):
+        doc = {key[0]: value} if len(key) == 1 else {key[0]: {key[1]: value}}
+        with contextlib.suppress(ConfigError):
+            parse_config(doc)
+
+    def test_int_valued_criteria_hash_as_floats(self):
+        doc = {"criteria": {"deflection_limit_um": 5}}
+        assert parse_config(doc).config_hash == parse_config({}).config_hash
+
+    def test_readme_example_parses(self, tmp_path, library):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Study configuration", 1)[1]
+        doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        (tmp_path / doc["materials"]).write_text(
+            gt.serialize_library(library), encoding="utf-8"
+        )
+        config = parse_config(doc, base_dir=tmp_path)
+        assert config.geometry.radius_um == 3005.0
+        assert config.sources == ("analytical", "fem", "external")
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "study.json"
@@ -268,20 +367,51 @@ class TestRunStudy:
             assert 0.5 < row.ratio < 2.0
 
     def test_failing_stage_leaves_stale_marker(self, tmp_path):
-        doc = {
-            "materials": {
-                "materials": [
-                    {"name": "a", "youngs_modulus_gpa": 1.0, "poisson_ratio": 0.3},
-                    {"name": "b", "youngs_modulus_gpa": 2.0, "poisson_ratio": 0.3},
-                ]
-            },
-            "profile_points": 5,
-        }
+        # parse_config rejects a 2-material library, so it is put in by hand.
+        two = gt.MaterialLibrary(
+            materials=(gt.Material("a", 1.0, 0.3), gt.Material("b", 2.0, 0.3))
+        )
+        config = dataclasses.replace(parse_config({"profile_points": 5}), library=two)
         out = tmp_path / "broken"
         with pytest.raises(StageError) as err:
-            run_study(parse_config(doc), out)
+            run_study(config, out)
         assert err.value.stage == "plan"
         assert (out / "STALE").read_text(encoding="utf-8").startswith("incomplete study")
+
+    def test_rerun_with_fewer_sources_removes_their_artifacts(self, tmp_path):
+        out = tmp_path / "rerun"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        run_study(
+            parse_config(
+                {
+                    "sources": ["analytical", "external"],
+                    "external": {"simulated_um": list(SIMULATED_UM)},
+                    "profile_points": 5,
+                }
+            ),
+            out,
+        )
+        assert {"comparison.csv", "responses_external.csv"} <= {p.name for p in out.iterdir()}
+        run_study(parse_config({"profile_points": 5}), out)
+        assert {p.name for p in out.iterdir()} == {
+            "notes.txt",
+            "plan.csv",
+            "responses_analytical.csv",
+            "anova_analytical.csv",
+            "anova_analytical.json",
+            "effects_analytical.csv",
+            "effects_analytical.json",
+            "verdicts.csv",
+            "verdicts.json",
+            "profile_polyimide.csv",
+            "profile_polyimide.svg",
+            "profile_parylene_c.csv",
+            "profile_parylene_c.svg",
+            "profile_carbon_epoxy_resin.csv",
+            "profile_carbon_epoxy_resin.svg",
+            "report.json",
+        }
 
     def test_successful_rerun_clears_stale_marker(self, tmp_path):
         out = tmp_path / "recover"

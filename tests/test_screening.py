@@ -54,11 +54,21 @@ class TestCriteria:
             {"pressure_range_atm": (0.0, 100.0)},
             {"marginal_band": 1.0},
             {"marginal_band": -0.1},
+            {"deflection_limit_um": "5"},
+            {"max_pressure_atm": True},
+            {"max_thickness_um": None},
+            {"thickness_range_um": ("150", 250.0)},
+            {"marginal_band": "0.1"},
         ],
     )
     def test_invalid_settings(self, kw):
         with pytest.raises(InputDomainError):
             gt.ScreeningCriteria(**kw)
+
+    def test_settings_are_stored_as_floats(self):
+        criteria = gt.ScreeningCriteria(deflection_limit_um=5, pressure_range_atm=(80, 100))
+        assert type(criteria.deflection_limit_um) is float
+        assert all(type(p) is float for p in criteria.pressure_range_atm)
 
 
 class TestMinThickness:
@@ -201,6 +211,19 @@ class TestScreenFem:
         assert verdicts["Polyimide"] > 0.3 * T_MIN_ANALYTICAL["Polyimide"]
         ordered = sorted(verdicts, key=verdicts.get)
         assert ordered == ["Carbon epoxy resin", "Parylene C", "Polyimide"]
+
+    def test_builds_one_mesh_per_call(self, monkeypatch, library, reference_cap, criteria):
+        from globtop import screening
+
+        meshes = []
+
+        def counted(*args):
+            meshes.append(args)
+            return gt.mesh_cap(*args)
+
+        monkeypatch.setattr(screening, "mesh_cap", counted)
+        gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+        assert meshes == [(reference_cap, 16)]
 
     def test_fem_minimum_actually_hits_the_limit(self, cer, reference_cap, criteria):
         from globtop.fem import mesh_cap, solve_case

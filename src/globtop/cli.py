@@ -308,7 +308,9 @@ def _exit_code(exc: GlobtopError) -> int:
         inner = exc.original
         if isinstance(inner, GlobtopError):
             return _exit_code(inner)
-        return 2
+        # An artifact that cannot be written is an input problem, as it is
+        # outside a stage.
+        return 1 if isinstance(inner, OSError) else 2
     if isinstance(exc, (ConfigError, InputDomainError, MeshError)):
         return 1
     return 2

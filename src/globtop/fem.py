@@ -18,7 +18,9 @@ The element stiffness is the usual thin-shell quadratic form with membrane
 rigidity E t / (1 - nu^2) and bending rigidity E t^3 / (12 (1 - nu^2)),
 integrated with 4-point Gauss quadrature including the 2 pi r measure.  The
 consistent load vector applies a uniform normal pressure P acting against
-the outward normal.
+the outward normal.  Both rigidities and P enter linearly, so the membrane
+and bending parts and the load of a unit pressure are built once per mesh
+and Poisson ratio, and each solve scales and adds them.
 
 Sign conventions follow the mesh orientation, apex to rim: w and the normal
 N point outward, so an external pressure gives negative w.  Units are um for
@@ -35,7 +37,8 @@ beta = 0) or pinned (Ur = Uz = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO
 
@@ -47,7 +50,14 @@ from .geometry import CapGeometry
 from .materials import Material
 
 HALF_BANDWIDTH = 5
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+# 4-point Gauss-Legendre rule on [-1, 1]: the values of
+# numpy.polynomial.legendre.leggauss(4), which computes them with LAPACK.
+_GAUSS_X = np.array(
+    [-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]
+)
+_GAUSS_W = np.array(
+    [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
+)
 _N_TO_PA_UM2 = 1.0e-12  # 1 Pa * um^2 in newtons
 
 BOUNDARY_CONDITIONS = ("clamped", "pinned")
@@ -60,7 +70,8 @@ class ShellMesh:
     ``r_um`` must start at the axis and increase strictly; ``z_um`` is the
     axial coordinate.  ``phi_rad`` optionally carries the spherical meridian
     angle per node when the mesh samples a cap.  Arc length ``s_um`` is
-    accumulated from the apex.
+    accumulated from the apex.  The stiffness parts of the mesh are built on
+    first use and kept on it, one set per Poisson ratio.
     """
 
     r_um: np.ndarray
@@ -90,6 +101,7 @@ class ShellMesh:
             raise MeshError("mesh contains a zero-length element")
         s = np.concatenate([[0.0], np.cumsum(seg)])
         object.__setattr__(self, "_s_um", s)
+        object.__setattr__(self, "_unit_parts", {})  # nu -> _unit_system
         if self.phi_rad is not None:
             phi = np.asarray(self.phi_rad, dtype=float)
             object.__setattr__(self, "phi_rad", phi)
@@ -161,112 +173,138 @@ def _check_solve_args(thickness_um: float, pressure_pa: float, bc: str) -> None:
         raise InputDomainError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
 
-def _element_matrices(
-    mesh: ShellMesh, thickness_um: float, material: Material, pressure_pa: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked global-frame element stiffnesses (n_el, 6, 6) and loads (n_el, 6)."""
+# Upper-triangle entries (row, column) of a 6x6 element matrix, column by
+# column, and their rows in the banded layout.
+_PAIRS = tuple(np.array(v) for v in zip(*[(i, j) for j in range(6) for i in range(j + 1)]))
+_BAND_ROWS = HALF_BANDWIDTH + _PAIRS[0] - _PAIRS[1]
+
+
+def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Global-frame element stiffness parts and load, free of E, t and P.
+
+    Returns the membrane and bending parts stacked as (2, 21, n_el), the
+    entries ``_PAIRS`` of each element's upper triangle per unit membrane
+    rigidity E t / (1 - nu^2) and unit bending rigidity
+    E t^3 / (12 (1 - nu^2)), and the element load of a unit pressure,
+    (6, n_el).  Every sum is elementwise in a fixed order, so the result
+    does not depend on the BLAS build.
+
+    The parts are built one after the other and each column of D b is
+    formed where it is used.  At 256 elements no temporary then reaches
+    128 kB, the size from which malloc may map fresh pages for a request
+    and unmap them when it is freed; whether it does depends on the
+    process's heap history, so larger temporaries make a study page-fault
+    hundreds of times in one process and hardly at all in the next.
+    """
     r = mesh.r_um
     z = mesh.z_um
-    r1, r2 = r[:-1], r[1:]
-    z1, z2 = z[:-1], z[1:]
-    dr = r2 - r1
-    dz = z2 - z1
+    r1 = r[:-1]
+    dr = r[1:] - r1
+    dz = z[1:] - z[:-1]
     length = np.hypot(dr, dz)
     tr = dr / length
     tz = dz / length
     nr = -tz
     nz = tr
 
-    e_mod = material.youngs_modulus_pa
-    nu = material.poisson_ratio
-    t = float(thickness_um)
-    c_m = e_mod * t / (1.0 - nu * nu)
-    d_b = e_mod * t**3 / (12.0 * (1.0 - nu * nu))
-    dhat = np.array([[1.0, nu], [nu, 1.0]])
-
-    n_el = mesh.n_elements
-    xi = 0.5 * (_GAUSS_X + 1.0)  # (4,)
-    jac = length / 2.0  # (n_el,)
-    # Radius at each Gauss point, (n_el, 4).
-    r_g = r1[:, None] + (xi[None, :] * length[:, None]) * tr[:, None]
-
-    ell = length[:, None]
-    h = np.stack(
-        [
-            np.broadcast_to(1.0 - 3.0 * xi**2 + 2.0 * xi**3, (n_el, 4)),
-            ell * (xi - 2.0 * xi**2 + xi**3),
-            np.broadcast_to(3.0 * xi**2 - 2.0 * xi**3, (n_el, 4)),
-            ell * (-(xi**2) + xi**3),
-        ],
-        axis=-1,
-    )  # (n_el, 4, 4): gauss x Hermite shape
+    # Arrays below are Gauss point by element, (4, n_el), or broadcast to it.
+    xi = (0.5 * (_GAUSS_X + 1.0))[:, None]
+    ell = length[None, :]
+    r_g = r1 + (xi * ell) * tr
+    wgt = 2.0 * math.pi * _GAUSS_W[:, None] * (length / 2.0) * r_g
+    # Cubic Hermite shapes for w (w1, beta1, w2, beta2) and their first and
+    # second arc-length derivatives.
+    h = (
+        1.0 - 3.0 * xi**2 + 2.0 * xi**3,
+        ell * (xi - 2.0 * xi**2 + xi**3),
+        3.0 * xi**2 - 2.0 * xi**3,
+        ell * (-(xi**2) + xi**3),
+    )
     dh = (
-        np.stack(
-            [
-                np.broadcast_to(-6.0 * xi + 6.0 * xi**2, (n_el, 4)),
-                ell * (1.0 - 4.0 * xi + 3.0 * xi**2),
-                np.broadcast_to(6.0 * xi - 6.0 * xi**2, (n_el, 4)),
-                ell * (-2.0 * xi + 3.0 * xi**2),
-            ],
-            axis=-1,
-        )
-        / ell[..., None]
+        (-6.0 * xi + 6.0 * xi**2) / ell,
+        1.0 - 4.0 * xi + 3.0 * xi**2,
+        (6.0 * xi - 6.0 * xi**2) / ell,
+        -2.0 * xi + 3.0 * xi**2,
     )
     d2h = (
-        np.stack(
-            [
-                np.broadcast_to(-6.0 + 12.0 * xi, (n_el, 4)),
-                ell * (-4.0 + 6.0 * xi),
-                np.broadcast_to(6.0 - 12.0 * xi, (n_el, 4)),
-                ell * (-2.0 + 6.0 * xi),
-            ],
-            axis=-1,
-        )
-        / ell[..., None] ** 2
+        (-6.0 + 12.0 * xi) / ell**2,
+        (-4.0 + 6.0 * xi) / ell,
+        (6.0 - 12.0 * xi) / ell**2,
+        (-2.0 + 6.0 * xi) / ell,
     )
 
-    w_slots = [1, 2, 4, 5]
-    bm = np.zeros((n_el, 4, 2, 6))
-    bb = np.zeros((n_el, 4, 2, 6))
+    # Strain rows (e_s, e_t) and (k_s, k_t) over the local nodal dofs
+    # (u1, w1, beta1, u2, w2, beta2).
     inv_l = 1.0 / length
-    bm[:, :, 0, 0] = -inv_l[:, None]
-    bm[:, :, 0, 3] = inv_l[:, None]
-    bm[:, :, 1, 0] = (1.0 - xi)[None, :] * tr[:, None] / r_g
-    bm[:, :, 1, 3] = xi[None, :] * tr[:, None] / r_g
-    bm[:, :, 1, w_slots] = h * (nr[:, None] / r_g)[..., None]
-    bb[:, :, 0, w_slots] = -d2h
-    bb[:, :, 1, w_slots] = -dh * (tr[:, None] / r_g)[..., None]
+    n_over_r = nr / r_g
+    t_over_r = tr / r_g
+    local = (
+        (
+            (-inv_l, 0.0, 0.0, inv_l, 0.0, 0.0),
+            ((1.0 - xi) * t_over_r, h[0] * n_over_r, h[1] * n_over_r,
+             xi * t_over_r, h[2] * n_over_r, h[3] * n_over_r),
+        ),
+        (
+            (0.0, -d2h[0], -d2h[1], 0.0, -d2h[2], -d2h[3]),
+            (0.0, -dh[0] * t_over_r, -dh[1] * t_over_r,
+             0.0, -dh[2] * t_over_r, -dh[3] * t_over_r),
+        ),
+    )
+    k = np.empty((2, len(_PAIRS[0]), mesh.n_elements))
+    for part, rows in enumerate(local):
+        # Rotate each node's (u, w) columns to (Ur, Uz): u = Tr Ur + Tz Uz
+        # and w = Nr Ur + Nz Uz.  b is (strain row, global dof, gauss,
+        # element).
+        b = np.empty((2, 6, 4, mesh.n_elements))
+        for row, cols in enumerate(rows):
+            for base in (0, 3):
+                u, w, beta = cols[base : base + 3]
+                b[row, base] = u * tr + w * nr
+                b[row, base + 1] = u * tz + w * nz
+                b[row, base + 2] = beta
+        for j in range(6):
+            # Column j of weighted D b, D = [[1, nu], [nu, 1]], against rows
+            # 0..j of b, summed over the Gauss points in order.
+            db0 = (b[0, j] + nu * b[1, j]) * wgt
+            db1 = (nu * b[0, j] + b[1, j]) * wgt
+            q = b[0, : j + 1] * db0
+            q += b[1, : j + 1] * db1
+            first = j * (j + 1) // 2
+            k[part, first : first + j + 1] = q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]
 
-    # 2 pi r weight per Gauss point.
-    wgt = 2.0 * math.pi * _GAUSS_W[None, :] * jac[:, None] * r_g  # (n_el, 4)
-    km = np.einsum("egai,ab,egbj,eg->eij", bm, dhat, bm, wgt, optimize=True)
-    kb = np.einsum("egai,ab,egbj,eg->eij", bb, dhat, bb, wgt, optimize=True)
-    k_local = c_m * km + d_b * kb
-
-    f_local = np.zeros((n_el, 6))
-    fw = np.einsum("ega,eg->ea", h, wgt)
-    f_local[:, w_slots] = -float(pressure_pa) * fw
-
-    # Rotate nodal (u, w, beta) local dofs to global (Ur, Uz, beta).
-    lam = np.zeros((n_el, 6, 6))
-    for base in (0, 3):
-        lam[:, base + 0, base + 0] = tr
-        lam[:, base + 0, base + 1] = tz
-        lam[:, base + 1, base + 0] = nr
-        lam[:, base + 1, base + 1] = nz
-        lam[:, base + 2, base + 2] = 1.0
-    k_global = np.einsum("eai,eab,ebj->eij", lam, k_local, lam, optimize=True)
-    f_global = np.einsum("ea,eaj->ej", f_local, lam)
-
-    bad = ~np.isfinite(k_global).all(axis=(1, 2))
-    if np.any(bad):
-        raise SolverError(
-            f"element {int(np.argmax(bad))} produced a non-finite stiffness"
-        )
-    return k_global, f_global
+    # Consistent load of a unit pressure against the outward normal.
+    fw = [-(hw[0] + hw[1] + hw[2] + hw[3]) for hw in (hk * wgt for hk in h)]
+    f = np.array([fw[0] * nr, fw[0] * nz, fw[1], fw[2] * nr, fw[2] * nz, fw[3]])
+    return k, f
 
 
-_TRIU_A, _TRIU_B = np.triu_indices(6)
+def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded membrane and bending stiffness per unit rigidity, and the load
+    of a unit pressure, memoized on the mesh per Poisson ratio.
+
+    The arrays are read-only: they are shared by every solve on the mesh.
+    """
+    parts = mesh._unit_parts.get(nu)
+    if parts is not None:
+        return parts
+    k_el, f_el = _element_parts(mesh, nu)
+    n_dof = mesh.n_dof
+    band = np.zeros((2, HALF_BANDWIDTH + 1, n_dof))
+    f1 = np.zeros(n_dof)
+    # Entry (i, j) of element e lands in column 3 e + j, so one entry of all
+    # elements is a strided slice.  A slot gets at most two contributions,
+    # from the two elements at a node, and their sum does not depend on the
+    # order of the additions.
+    stop = 3 * mesh.n_elements
+    for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
+        band[:, row, j : j + stop : 3] += k_el[:, m]
+    for i in range(6):
+        f1[i : i + stop : 3] += f_el[i]
+    parts = (band[0], band[1], f1)
+    for a in parts:
+        a.flags.writeable = False
+    mesh._unit_parts[nu] = parts
+    return parts
 
 
 def assemble_system(
@@ -275,20 +313,19 @@ def assemble_system(
     """Assemble the unconstrained banded stiffness (upper form) and load.
 
     The banded layout is scipy's: ab[HALF_BANDWIDTH + i - j, j] = K[i, j]
-    for i <= j.
+    for i <= j.  K = c_m K_m + d_b K_b and f = P f_1, with the parts built
+    once per mesh and Poisson ratio.
     """
-    k_el, f_el = _element_matrices(mesh, thickness_um, material, pressure_pa)
-    n_dof = mesh.n_dof
-    ab = np.zeros((HALF_BANDWIDTH + 1, n_dof))
-    base = 3 * np.arange(mesh.n_elements)
-    rows = HALF_BANDWIDTH + _TRIU_A - _TRIU_B  # (21,)
-    cols = base[:, None] + _TRIU_B[None, :]  # (n_el, 21)
-    vals = k_el[:, _TRIU_A, _TRIU_B]
-    np.add.at(ab, (np.broadcast_to(rows, cols.shape), cols), vals)
-
-    f = np.zeros(n_dof)
-    np.add.at(f, base[:, None] + np.arange(6)[None, :], f_el)
-    return ab, f
+    nu = material.poisson_ratio
+    k_m, k_b, f1 = _unit_system(mesh, nu)
+    e_mod = material.youngs_modulus_pa
+    t = float(thickness_um)
+    c_m = e_mod * t / (1.0 - nu * nu)
+    d_b = e_mod * t**3 / (12.0 * (1.0 - nu * nu))
+    ab = c_m * k_m + d_b * k_b
+    if not np.all(np.isfinite(ab)):
+        raise SolverError(f"non-finite stiffness at thickness {t!r} um")
+    return ab, float(pressure_pa) * f1
 
 
 def band_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -356,7 +393,48 @@ class FemSolution:
     rim_reaction_vertical_n: float
     applied_vertical_load_n: float
     equilibrium_residual: float
-    condition_estimate: float
+    # The constrained banded stiffness and its Cholesky factor, kept for the
+    # condition estimate.
+    stiffness: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        """1-norm condition number of the constrained stiffness.
+
+        ||K||_1 is read from the band; ||K^-1||_1 is Hager's (1984)
+        estimator with Higham's (1988) extra test vector, which costs a few
+        back-solves, is a lower bound and is usually exact.  Computed on
+        first access.
+        """
+        ab = self.stiffness
+        hb = ab.shape[0] - 1
+        n = ab.shape[1]
+        col_sums = np.abs(ab).sum(axis=0)
+        for off in range(1, hb + 1):
+            col_sums[:-off] += np.abs(ab[hb - off, off:])
+
+        def solve(x: np.ndarray) -> np.ndarray:
+            return cho_solve_banded((self.factor, False), x)
+
+        # K is symmetric, so K^-T = K^-1 in Hager's iteration.
+        x = np.full(n, 1.0 / n)
+        inv_norm = 0.0
+        for _ in range(5):
+            y = solve(x)
+            est = float(np.abs(y).sum())
+            if est <= inv_norm:
+                break
+            inv_norm = est
+            z = solve(np.where(y >= 0.0, 1.0, -1.0))
+            j = int(np.argmax(np.abs(z)))
+            if abs(z[j]) <= float(z @ x):
+                break
+            x = np.zeros(n)
+            x[j] = 1.0
+        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * (1.0 + np.arange(n) / (n - 1))
+        inv_norm = max(inv_norm, 2.0 * float(np.abs(solve(alt)).sum()) / (3.0 * n))
+        return float(col_sums.max()) * inv_norm
 
     def local_components(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node meridional u and outward-normal w displacements in um."""
@@ -407,8 +485,6 @@ def solve_case(
         factor = cholesky_banded(ab, lower=False)
     except LinAlgError as exc:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
-    cdiag = factor[-1]
-    condition = float((cdiag.max() / cdiag.min()) ** 2)
     d = cho_solve_banded((factor, False), f)
     if not np.all(np.isfinite(d)):
         raise SolverError("solver produced non-finite displacements")
@@ -443,7 +519,8 @@ def solve_case(
         rim_reaction_vertical_n=rim_vertical_n,
         applied_vertical_load_n=applied_n,
         equilibrium_residual=residual,
-        condition_estimate=condition,
+        stiffness=ab,
+        factor=factor,
     )
 
 

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.optimize import brentq
-
 from .errors import ConfigError, InputDomainError, SolverError, real
 from .fem import ShellMesh, mesh_cap, solve_case
 from .geometry import CapGeometry
@@ -38,6 +36,9 @@ from .units import ATM_PA, atm_to_pa
 SOURCES = ("analytical", "fem", "external")
 
 _CLASSES = {"pass": 0, "marginal": 1, "fail": 2}
+# Tolerance of the FEM thickness root in log t.  The 256-element apex
+# carries roundoff of about 1e-8 of itself, so a closer root means nothing.
+_ROOT_XTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,29 +153,68 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
     return "fail"
 
 
+def brentq(f, a: float, b: float, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use.
+
+    Loading ``scipy.optimize`` adds a quarter of a second or more to a cold
+    CLI start, and only the FEM screen needs it.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
+
+
 def _fem_min_thickness(
     material: Material,
+    geometry: CapGeometry,
     mesh: ShellMesh,
     pressure_pa: float,
     limit_um: float,
     bc: str,
 ) -> float:
+    """Thickness at which the FEM apex deflection equals the limit.
+
+    The apex falls about as 1/t where membrane action carries the load and
+    as 1/t**3 where bending does, so g = log(w / limit) is nearly linear in
+    u = log t.  The closed form seeds u; the bracket grows geometrically, up
+    to the sphere radius; ``brentq`` closes it.
+    """
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
 
-    def excess(t_um: float) -> float:
-        return solve_case(mesh, t_um, material, pressure_pa, bc).apex_deflection_um - limit_um
+    def excess(u: float) -> float:
+        w = solve_case(mesh, math.exp(u), material, pressure_pa, bc).apex_deflection_um
+        return math.log(w / limit_um)
 
-    lo, hi = 1.0, 5000.0
-    f_lo = excess(lo)
-    f_hi = excess(hi)
-    if f_lo <= 0.0:
-        return lo
-    if f_hi > 0.0:
+    u_max = math.log(geometry.radius_um)
+    a = min(math.log(min_thickness(material, geometry, pressure_pa, limit_um)), u_max)
+    g_a = excess(a)
+    if g_a == 0.0:
+        return math.exp(a)
+    # Where w falls at least as fast as 1/t, the root lies within |g_a| of a.
+    step = g_a
+    while True:
+        b = min(a + step, u_max)
+        g_b = excess(b)
+        if g_b == 0.0:
+            return math.exp(b)
+        if (g_b > 0.0) != (g_a > 0.0):
+            break
+        if b == u_max:
+            raise SolverError(
+                f"{material.name}: no feasible thickness up to the sphere radius "
+                f"{geometry.radius_um:g} um at this pressure"
+            )
+        a, g_a = b, g_b
+        step *= 2.0
+    lo, hi = min(a, b), max(a, b)
+    u, info = brentq(excess, lo, hi, xtol=_ROOT_XTOL, full_output=True, disp=False)
+    if not info.converged:
         raise SolverError(
-            f"{material.name}: no feasible thickness up to {hi} um at this pressure"
+            f"{material.name}: thickness root find did not converge in "
+            f"[{math.exp(lo):g}, {math.exp(hi):g}] um ({info.flag})"
         )
-    return float(brentq(excess, lo, hi, xtol=1e-6, rtol=1e-10))
+    return math.exp(u)
 
 
 def _fit_min_thickness(fit: ScreeningFit, name: str, criteria: ScreeningCriteria) -> float:
@@ -231,7 +271,7 @@ def screen(
                 ShellCase(geometry, criteria.max_thickness_um, mat, p_max)
             )
         elif source == "fem":
-            t_min = _fem_min_thickness(mat, mesh, p_max, limit, fem_bc)
+            t_min = _fem_min_thickness(mat, geometry, mesh, p_max, limit, fem_bc)
             worst = solve_case(mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
         else:
             t_min = _fit_min_thickness(fit, mat.name, criteria)

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,7 @@ class TestTopLevel:
         assert _exit_code(SolverError("x")) == 2
         assert _exit_code(StageError("plan", ConfigError("x"))) == 1
         assert _exit_code(StageError("plan", RuntimeError("x"))) == 2
+        assert _exit_code(StageError("report", IsADirectoryError("x"))) == 1
 
     def test_installed_entry_point(self):
         exe = shutil.which("globtop")
@@ -58,26 +62,38 @@ class TestTopLevel:
         assert "globtop" in proc.stdout
 
 
+def test_import_leaves_scipy_optimize_out():
+    src = str(Path(gt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, globtop.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out",
     [
-        ["deflect", "--material", "Polyimide", "--thickness-um", "150",
-         "--pressure-atm", "80", "--profile-points", "5"],
-        ["fem", "--material", "Polyimide", "--thickness-um", "150",
-         "--pressure-atm", "80", "--n-elements", "8"],
-        ["plan"],
-        ["study", "--config", "CONFIG"],
+        (["deflect", "--material", "Polyimide", "--thickness-um", "150",
+          "--pressure-atm", "80", "--profile-points", "5"], "missing/x.csv"),
+        (["fem", "--material", "Polyimide", "--thickness-um", "150",
+          "--pressure-atm", "80", "--n-elements", "8"], "missing/x.csv"),
+        (["plan"], "missing/x.csv"),
+        (["study", "--config", "CONFIG"], "a_file/x"),
+        # The directory exists, but stage 'report' cannot write report.json.
+        (["study", "--config", "CONFIG"], "out"),
     ],
-    ids=["deflect", "fem", "plan", "study"],
+    ids=["deflect", "fem", "plan", "study", "study-report"],
 )
-def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv):
-    blocker = tmp_path / "a_file"
-    blocker.write_text("", encoding="utf-8")
+def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, out):
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
     config = tmp_path / "study.json"
     config.write_text(json.dumps({"profile_points": 5}), encoding="utf-8")
     argv = [str(config) if a == "CONFIG" else a for a in argv]
-    out = blocker / "x" if argv[0] == "study" else tmp_path / "missing" / "x.csv"
-    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / out))
     assert code == 1
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1

@@ -1,5 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +286,75 @@ class TestSolveArguments:
     def test_bad_pressure(self, coarse_mesh, cer, p):
         with pytest.raises(InputDomainError):
             fem.solve_case(coarse_mesh, 150.0, cer, p)
+
+
+class TestStiffnessParts:
+    def test_memoized_solve_matches_a_fresh_mesh(
+        self, reference_cap, cer, parylene, polyimide
+    ):
+        p = gt.atm_to_pa(100.0)
+        mesh = fem.mesh_cap(reference_cap, 256)
+        for material, t in ((polyimide, 400.0), (parylene, 200.0), (cer, 120.0)):
+            fem.solve_case(mesh, t, material, p)
+        memoized = fem.solve_case(mesh, 150.0, cer, p)
+        fresh = fem.solve_case(fem.mesh_cap(reference_cap, 256), 150.0, cer, p)
+        assert memoized.apex_deflection_um == fresh.apex_deflection_um
+        for name in ("u_r_um", "u_z_um", "rotation_rad"):
+            assert np.array_equal(getattr(memoized, name), getattr(fresh, name))
+
+    def test_assembly_does_not_depend_on_the_blas_kernel(self):
+        script = (
+            "import hashlib, globtop as gt\n"
+            "from globtop import fem\n"
+            "mesh = fem.mesh_cap(gt.REFERENCE_GEOMETRY, 256)\n"
+            "cer = gt.default_library().get('Carbon epoxy resin')\n"
+            "ab, f = fem.assemble_system(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
+            "print(hashlib.sha256(ab.tobytes() + f.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(gt.__file__).resolve().parents[1])
+        procs = []
+        for kernel in (None, "Haswell", "Prescott"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+                )
+            )
+        digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs)
+        assert len(digests[0]) == 64
+        assert digests == [digests[0]] * 3
+
+    def test_building_the_parts_keeps_its_temporaries_small(self, reference_cap):
+        # Large temporaries may be mapped and page-faulted afresh on every
+        # build, as the heap's history allows, which makes repeated studies
+        # run at different speeds.  Building both parts at once needs
+        # 880 kB of temporaries on this mesh; one part at a time, 490 kB.
+        mesh = fem.mesh_cap(reference_cap, 256)
+        fem._element_parts(mesh, 0.4)
+        tracemalloc.start()
+        try:
+            k, f = fem._element_parts(mesh, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - k.nbytes - f.nbytes < 640_000
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("bc", ["clamped", "pinned"])
+    def test_matches_dense_one_norm_condition(self, reference_cap, cer, n, bc):
+        mesh = fem.mesh_cap(reference_cap, n)
+        p = gt.atm_to_pa(100.0)
+        ab, f = fem.assemble_system(mesh, 150.0, cer, p)
+        fem._apply_bc(ab, f, fem.fixed_dofs(mesh.n_nodes, bc))
+        kappa = np.linalg.cond(fem.band_to_dense(ab), 1)
+        got = fem.solve_case(mesh, 150.0, cer, p, bc).condition_estimate
+        assert kappa / 3.0 <= got <= kappa * (1.0 + 1e-6)
 
 
 class TestAgainstDenseSolve:

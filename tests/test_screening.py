@@ -225,6 +225,51 @@ class TestScreenFem:
         gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
         assert meshes == [(reference_cap, 16)]
 
+    def test_builds_stiffness_parts_once_per_poisson_ratio(
+        self, monkeypatch, library, reference_cap, criteria
+    ):
+        from globtop import fem
+
+        builds = []
+        original = fem._element_parts
+
+        def counted(mesh, nu):
+            builds.append(nu)
+            return original(mesh, nu)
+
+        monkeypatch.setattr(fem, "_element_parts", counted)
+        gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+        # Parylene C and carbon epoxy resin share nu = 0.4.
+        assert sorted(builds) == [0.35, 0.4]
+
+    def test_root_find_solve_count(self, monkeypatch, library, reference_cap, criteria):
+        from globtop import screening
+
+        solves = []
+        original = screening.solve_case
+
+        def counted(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(screening, "solve_case", counted)
+        gt.screen(library, reference_cap, criteria, "fem")
+        # One worst-case solve per material; the rest are the root finds.
+        assert len(solves) - len(library) <= 30
+
+    def test_unconverged_root_find_raises(self, monkeypatch, cer, reference_cap, criteria):
+        from scipy import optimize
+
+        from globtop import screening
+
+        def capped(f, a, b, **kwargs):
+            return optimize.brentq(f, a, b, maxiter=2, **kwargs)
+
+        monkeypatch.setattr(screening, "brentq", capped)
+        library = gt.MaterialLibrary([cer])
+        with pytest.raises(gt.SolverError, match="did not converge"):
+            gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+
     def test_fem_minimum_actually_hits_the_limit(self, cer, reference_cap, criteria):
         from globtop.fem import mesh_cap, solve_case
 

@@ -11,172 +11,63 @@ behind a config-driven study pipeline and CLI.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    FitError,
-    GlobtopError,
-    InputDomainError,
-    MeshError,
-    ResponderError,
-    SolverError,
-    StageError,
-)
-from .geometry import (
-    CapGeometry,
-    REFERENCE_GEOMETRY,
-    ThinShellWarning,
-    cap_from_config,
-    from_radius_angle,
-    solve_cap,
-    thinness_ratio,
-)
-from .materials import (
-    Material,
-    MaterialLibrary,
-    default_library,
-    load_library,
-    load_library_file,
-    serialize_library,
-)
-from .shell_model import (
-    DeflectionProfile,
-    ShellCase,
-    apex_coefficient,
-    apex_deflection,
-    meridional_v,
-    profile,
-    radial_w,
-)
-from .doe import (
-    ExperimentPlan,
-    Factor,
-    L9_CODES,
-    RunResult,
-    RunSpec,
-    audit_orthogonality,
-    build_l9,
-    default_plan,
-    is_orthogonal,
-    material_factor,
-    plan_to_csv,
-    read_responses_csv,
-    realize_responses,
-    results_to_csv,
-)
-from .stats import (
-    AnovaTable,
-    EffectTest,
-    ScreeningFit,
-    anova_from_components,
-    anova_table,
-    effect_tests,
-    f_lower_tail,
-    f_upper_tail,
-    fit_screening_model,
-    regularized_incomplete_beta,
-)
-from .fem import (
-    ConvergenceReport,
-    FemSolution,
-    ShellMesh,
-    converge,
-    mesh_cap,
-    solve_case,
-)
-from .screening import (
-    ScreeningCriteria,
-    Verdict,
-    classify,
-    desirability,
-    min_thickness,
-    screen,
-    thickness_profile,
-)
-from .report import (
-    StudyConfig,
-    StudyReport,
-    compare_columns,
-    parse_config,
-    parse_config_file,
-    run_study,
-)
-from .units import ATM_PA, atm_to_pa, gpa_to_pa, pa_to_atm
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "ATM_PA",
-    "AnovaTable",
-    "CapGeometry",
-    "ConfigError",
-    "ConvergenceReport",
-    "DeflectionProfile",
-    "EffectTest",
-    "ExperimentPlan",
-    "Factor",
-    "FemSolution",
-    "FitError",
-    "GlobtopError",
-    "InputDomainError",
-    "L9_CODES",
-    "Material",
-    "MaterialLibrary",
-    "MeshError",
-    "REFERENCE_GEOMETRY",
-    "ResponderError",
-    "RunResult",
-    "RunSpec",
-    "ScreeningCriteria",
-    "ScreeningFit",
-    "ShellCase",
-    "ShellMesh",
-    "SolverError",
-    "StageError",
-    "StudyConfig",
-    "StudyReport",
-    "ThinShellWarning",
-    "Verdict",
-    "anova_from_components",
-    "anova_table",
-    "apex_coefficient",
-    "apex_deflection",
-    "atm_to_pa",
-    "audit_orthogonality",
-    "build_l9",
-    "cap_from_config",
-    "classify",
-    "compare_columns",
-    "converge",
-    "default_library",
-    "default_plan",
-    "desirability",
-    "effect_tests",
-    "f_lower_tail",
-    "f_upper_tail",
-    "fit_screening_model",
-    "from_radius_angle",
-    "gpa_to_pa",
-    "is_orthogonal",
-    "load_library",
-    "load_library_file",
-    "material_factor",
-    "mesh_cap",
-    "meridional_v",
-    "min_thickness",
-    "pa_to_atm",
-    "parse_config",
-    "parse_config_file",
-    "plan_to_csv",
-    "profile",
-    "radial_w",
-    "read_responses_csv",
-    "realize_responses",
-    "regularized_incomplete_beta",
-    "results_to_csv",
-    "run_study",
-    "screen",
-    "serialize_library",
-    "solve_cap",
-    "solve_case",
-    "thickness_profile",
-    "thinness_ratio",
-]
+# Public name -> module that defines it.  A module is imported when one of its
+# names is first read (PEP 562), so ``import globtop`` loads none of them, and
+# only code that reads a ``fem`` name loads numpy and scipy.
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "FitError", "GlobtopError", "InputDomainError", "MeshError",
+        "ResponderError", "SolverError", "StageError",
+    ),
+    "geometry": (
+        "CapGeometry", "REFERENCE_GEOMETRY", "ThinShellWarning", "cap_from_config",
+        "from_radius_angle", "solve_cap", "thinness_ratio",
+    ),
+    "materials": (
+        "Material", "MaterialLibrary", "default_library", "load_library",
+        "load_library_file", "serialize_library",
+    ),
+    "shell_model": (
+        "DeflectionProfile", "ShellCase", "apex_coefficient", "apex_deflection",
+        "meridional_v", "profile", "radial_w",
+    ),
+    "doe": (
+        "ExperimentPlan", "Factor", "L9_CODES", "RunResult", "RunSpec",
+        "audit_orthogonality", "build_l9", "default_plan", "is_orthogonal",
+        "material_factor", "plan_to_csv", "read_responses_csv", "realize_responses",
+        "results_to_csv",
+    ),
+    "stats": (
+        "AnovaTable", "EffectTest", "ScreeningFit", "anova_from_components", "anova_table",
+        "effect_tests", "f_lower_tail", "f_upper_tail", "fit_screening_model",
+        "regularized_incomplete_beta",
+    ),
+    "fem": ("ConvergenceReport", "FemSolution", "ShellMesh", "converge", "mesh_cap", "solve_case"),
+    "screening": (
+        "ScreeningCriteria", "Verdict", "classify", "desirability", "min_thickness",
+        "screen", "thickness_profile",
+    ),
+    "report": (
+        "StudyConfig", "StudyReport", "compare_columns", "parse_config",
+        "parse_config_file", "run_study",
+    ),
+    "units": ("ATM_PA", "atm_to_pa", "gpa_to_pa", "pa_to_atm"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

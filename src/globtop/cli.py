@@ -21,15 +21,14 @@ from .errors import (
     MeshError,
     StageError,
 )
-from .fem import converge, mesh_cap, solve_case
 from .geometry import REFERENCE_GEOMETRY, from_radius_angle, solve_cap
 from .materials import MaterialLibrary, default_library, load_library_file
-from .report import parse_config_file, run_study
 from .screening import ScreeningCriteria, screen
 from .shell_model import ShellCase, apex_deflection, profile
-from .stats import anova_table, effect_tests, effects_to_csv_text, effects_to_json, fit_screening_model
 from .units import ATM_PA, atm_to_pa
 
+# fem (numpy and scipy), report and stats are imported by the subcommands
+# that use them, so the closed-form commands start without numpy.
 
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
@@ -190,6 +189,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    from .report import parse_config_file, run_study
+
     config = parse_config_file(args.config)
     report = run_study(config, args.out)
     out = Path(args.out)
@@ -204,6 +205,8 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_anova(args) -> int:
+    from .stats import anova_table, effect_tests, effects_to_csv_text, effects_to_json, fit_screening_model
+
     results = read_responses_csv(args.responses)
     fit = fit_screening_model(results)
     table = anova_table(fit)
@@ -263,6 +266,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fem(args) -> int:
+    from .fem import converge, mesh_cap, solve_case
+
     geom = _geometry_from(args)
     material = _material_from(args)
     p_pa = atm_to_pa(args.pressure_atm, args.atm_pa)

@@ -32,14 +32,15 @@ from .doe import (
     results_to_csv,
 )
 from .errors import ConfigError, InputDomainError, StageError, real
-from .fem import mesh_cap, solve_case
 from .geometry import CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library, load_library_file
 from .screening import (
     ScreeningCriteria,
     SOURCES,
     Verdict,
+    mesh_cap,
     screen,
+    solve_case,
     thickness_profile,
 )
 from .shell_model import apex_deflection

@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InputDomainError, SolverError, real
-from .fem import ShellMesh, mesh_cap, solve_case
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase, apex_coefficient, apex_deflection
-from .stats import ScreeningFit
 from .units import ATM_PA, atm_to_pa
+
+if TYPE_CHECKING:
+    from .fem import FemSolution, ShellMesh
+    from .stats import ScreeningFit
 
 SOURCES = ("analytical", "fem", "external")
 
@@ -153,6 +155,30 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
     return "fail"
 
 
+def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
+    """``fem.mesh_cap``, with ``fem`` imported on first use.
+
+    ``fem`` loads numpy and ``scipy.linalg``, half a second of a cold CLI
+    start that the closed-form commands never need.
+    """
+    from . import fem
+
+    return fem._mesh_cap(geometry, n_elements)
+
+
+def solve_case(
+    mesh: ShellMesh,
+    thickness_um: float,
+    material: Material,
+    pressure_pa: float,
+    bc: str = "clamped",
+) -> FemSolution:
+    """``fem.solve_case``, with ``fem`` imported on first use."""
+    from . import fem
+
+    return fem._solve_case(mesh, thickness_um, material, pressure_pa, bc)
+
+
 def brentq(f, a: float, b: float, **kwargs):
     """``scipy.optimize.brentq``, imported on first use.
 
@@ -183,7 +209,9 @@ def _fem_min_thickness(
         return 0.0
 
     def excess(u: float) -> float:
-        w = solve_case(mesh, math.exp(u), material, pressure_pa, bc).apex_deflection_um
+        # exp(u_max) may round above the radius, which a solve rejects.
+        t = min(math.exp(u), geometry.radius_um)
+        w = solve_case(mesh, t, material, pressure_pa, bc).apex_deflection_um
         return math.log(w / limit_um)
 
     u_max = math.log(geometry.radius_um)

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import FitError, InputDomainError, SolverError
 from .doe import RunResult, audit_orthogonality
 
@@ -320,10 +318,10 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
     if len(results) != 9:
         raise FitError(f"screening fit needs exactly 9 results, got {len(results)}")
     names = [r.material_name for r in results]
-    thicknesses = [r.thickness_um for r in results]
-    pressures = [r.pressure_atm for r in results]
-    y = np.array([r.response_um for r in results], dtype=float)
-    if not np.all(np.isfinite(y)):
+    thicknesses = [float(r.thickness_um) for r in results]
+    pressures = [float(r.pressure_atm) for r in results]
+    y = [float(r.response_um) for r in results]
+    if not all(math.isfinite(v) for v in y):
         raise FitError("responses contain non-finite values")
 
     mat_levels, mat_codes = _levels_and_codes("material", names)
@@ -334,46 +332,42 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
     except Exception as exc:
         raise FitError(f"results do not form an orthogonal plan: {exc}") from exc
 
-    t = np.array(thicknesses, dtype=float)
-    p = np.array(pressures, dtype=float)
-    t_c = t - t.mean()
-    p_c = p - p.mean()
     # The audited plan is balanced and orthogonal, so least squares decouples:
     # each material coefficient is its level mean and each slope is its own
-    # contrast sum(x_c * y) / sum(x_c**2).  Exact sums keep the fit the same
-    # whatever order a BLAS would add in.
+    # contrast sum(x_c * y) / sum(x_c**2).  Every sum is exact (fsum), so the
+    # fit does not depend on the order of the results.
+    t_mean = math.fsum(thicknesses) / 9.0
+    p_mean = math.fsum(pressures) / 9.0
+    t_c = [v - t_mean for v in thicknesses]
+    p_c = [v - p_mean for v in pressures]
     grand = math.fsum(y) / 9.0
     means = {
         name: math.fsum(v for v, n in zip(y, names) if n == name) / 3.0
         for name in mat_levels
     }
-    slope_t = math.fsum(t_c * y) / math.fsum(t_c**2)
-    slope_p = math.fsum(p_c * y) / math.fsum(p_c**2)
-    fitted = np.array([means[n] for n in names]) + slope_t * t_c + slope_p * p_c
-    residual = y - fitted
-
-    ss_material = float(sum(3.0 * (m - grand) ** 2 for m in means.values()))
-    ss_thickness = slope_t**2 * math.fsum(t_c**2)
-    ss_pressure = slope_p**2 * math.fsum(p_c**2)
-    ss_residual = float(np.sum(residual**2))
+    t_ss = math.fsum(x * x for x in t_c)
+    p_ss = math.fsum(x * x for x in p_c)
+    slope_t = math.fsum(x * v for x, v in zip(t_c, y)) / t_ss
+    slope_p = math.fsum(x * v for x, v in zip(p_c, y)) / p_ss
+    fitted = [means[n] + slope_t * tc + slope_p * pc for n, tc, pc in zip(names, t_c, p_c)]
 
     return ScreeningFit(
         source=results[0].source,
         material_names=tuple(mat_levels),
         material_means=tuple(means[n] for n in mat_levels),
         grand_mean=grand,
-        thickness_mean_um=float(t.mean()),
-        pressure_mean_atm=float(p.mean()),
+        thickness_mean_um=t_mean,
+        pressure_mean_atm=p_mean,
         thickness_slope_per_um=slope_t,
         pressure_slope_per_atm=slope_p,
-        ss_material=ss_material,
-        ss_thickness=ss_thickness,
-        ss_pressure=ss_pressure,
-        ss_residual=ss_residual,
-        ss_total_corrected=float(np.sum((y - grand) ** 2)),
-        ss_total_uncorrected=float(np.sum(y**2)),
-        responses=tuple(float(v) for v in y),
-        fitted=tuple(float(v) for v in fitted),
+        ss_material=sum(3.0 * (m - grand) ** 2 for m in means.values()),
+        ss_thickness=slope_t**2 * t_ss,
+        ss_pressure=slope_p**2 * p_ss,
+        ss_residual=math.fsum((v - f) * (v - f) for v, f in zip(y, fitted)),
+        ss_total_corrected=math.fsum((v - grand) * (v - grand) for v in y),
+        ss_total_uncorrected=math.fsum(v * v for v in y),
+        responses=tuple(y),
+        fitted=tuple(fitted),
     )
 
 

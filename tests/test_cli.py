@@ -62,15 +62,41 @@ class TestTopLevel:
         assert "globtop" in proc.stdout
 
 
-def test_import_leaves_scipy_optimize_out():
+_LOADED_NUMPY_OR_SCIPY = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+)
+_CLOSED_FORM_RUNS = """
+import contextlib, io, json, pathlib, sys, tempfile
+from globtop import cli
+d = pathlib.Path(tempfile.mkdtemp())
+(d / "study.json").write_text(json.dumps({"profile_points": 5}))
+runs = [
+    ["geometry"],
+    ["deflect", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"],
+    ["plan"],
+    ["optimize"],
+    ["study", "--config", str(d / "study.json"), "--out", str(d / "out")],
+    ["anova", "--responses", str(d / "out" / "responses_analytical.csv")],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+"""
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["import sys, globtop", "import sys, globtop.cli", _CLOSED_FORM_RUNS],
+    ids=["package", "cli", "closed-form-commands"],
+)
+def test_closed_form_paths_leave_numpy_and_scipy_out(script):
     src = str(Path(gt.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, globtop.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", f"{script}\n{_LOADED_NUMPY_OR_SCIPY}"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -348,6 +374,23 @@ class TestFem:
         assert code == 0
         assert "observed order" in out
         assert "extrapolated apex" in out
+
+    @pytest.mark.parametrize("extra", [(), ("--converge",)], ids=["solve", "converge"])
+    def test_thickness_above_the_sphere_radius(self, capsys, extra):
+        # Rejected before assembly, where t**3 would overflow.
+        code, out, err = run_cli(
+            capsys,
+            "fem",
+            "--material", "Carbon epoxy resin",
+            "--thickness-um", "1e120",
+            "--pressure-atm", "100",
+            *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: thickness_um 1e+120 exceeds the sphere radius 3010 um of the mesh"
+        ]
 
     def test_bad_support_flag(self, capsys):
         code, _, err = run_cli(

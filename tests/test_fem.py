@@ -91,6 +91,11 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="increase"):
             fem.ShellMesh(r_um=r, z_um=np.zeros(6), phi_rad=bad_phi)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(MeshError, match="radius_um"):
+            fem.ShellMesh(r_um=np.linspace(0.0, 5.0, 6), z_um=np.zeros(6), radius_um=radius)
+
 
 class TestMeshCap:
     def test_node_layout(self, reference_cap):
@@ -156,6 +161,19 @@ class TestAssembly:
         assert f.shape == (coarse_mesh.n_dof,)
         # Net axial load must be downward (negative z) for positive pressure.
         assert float(f[1::3].sum()) < 0.0
+
+    def test_rejects_a_shell_thicker_than_the_sphere_radius(self, coarse_mesh, cer, reference_cap):
+        a = reference_cap.radius_um
+        assert coarse_mesh.radius_um == a
+        fem.assemble_system(coarse_mesh, a, cer, 1.0e6)
+        for t in (math.nextafter(a, math.inf), 1e120):
+            with pytest.raises(InputDomainError, match="exceeds the sphere radius"):
+                fem.assemble_system(coarse_mesh, t, cer, 1.0e6)
+
+    def test_overflowing_bending_rigidity_is_a_solver_error(self, cer):
+        # A mesh with no sphere radius takes any thickness; t**3 overflows.
+        with pytest.raises(gt.SolverError, match="bending rigidity overflows"):
+            fem.assemble_system(flat_mesh(100.0, 8), 1e120, cer, 1.0e6)
 
     def test_fixed_dofs(self):
         assert fem.fixed_dofs(65, "clamped") == (0, 2, 192, 193, 194)

@@ -270,6 +270,16 @@ class TestScreenFem:
         with pytest.raises(gt.SolverError, match="did not converge"):
             gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
 
+    def test_no_feasible_thickness_up_to_the_sphere_radius(self, cer, reference_cap):
+        # The bracket's last end, exp(log(radius)), rounds above this radius,
+        # where a solve would reject the thickness.
+        a = reference_cap.radius_um
+        assert math.exp(math.log(a)) > a
+        library = gt.MaterialLibrary([cer])
+        criteria = gt.ScreeningCriteria(deflection_limit_um=1e-6)
+        with pytest.raises(gt.SolverError, match="no feasible thickness up to the sphere radius"):
+            gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+
     def test_fem_minimum_actually_hits_the_limit(self, cer, reference_cap, criteria):
         from globtop.fem import mesh_cap, solve_case
 

@@ -229,6 +229,25 @@ class TestScreeningFit:
         assert fit.material_mean("Polyimide") == pytest.approx(30.0, rel=1e-12)
         assert fit.ss_residual < 1e-18
 
+    def test_order_of_the_results_does_not_change_a_bit(self, library):
+        # Exact sums do not depend on the order of their terms; rounded ones do.
+        rng = random.Random(11)
+        plan = gt.default_plan(
+            library,
+            sorted(rng.uniform(100.0, 300.0) for _ in range(3)),
+            sorted(rng.uniform(60.0, 110.0) for _ in range(3)),
+        )
+        results = list(gt.realize_responses(plan, [rng.uniform(1.0, 40.0) for _ in range(9)]))
+        fields = [
+            f.name for f in dataclasses.fields(gt.ScreeningFit)
+            if f.name not in ("responses", "fitted")
+        ]
+        want = gt.fit_screening_model(results)
+        for _ in range(50):
+            rng.shuffle(results)
+            got = gt.fit_screening_model(results)
+            assert {n: getattr(got, n) for n in fields} == {n: getattr(want, n) for n in fields}
+
 
 class TestFitValidation:
     def test_needs_nine_results(self, external_results):

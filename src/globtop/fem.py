@@ -29,9 +29,12 @@ from Pa times um^2 is 1e-12 N, and reactions are reported in newtons.
 
 The global system is symmetric positive definite after boundary conditions
 and has half-bandwidth 5, so it is stored in banded form and solved with a
-banded Cholesky factorization.  Supports: the apex node is held on the axis
+banded Cholesky factorization, LAPACK's dpbtrf and dpbtrs called directly
+(the routines behind scipy's cholesky_banded and cho_solve_banded, without
+their per-call wrapping).  Supports: the apex node is held on the axis
 (Ur = 0, beta = 0 by symmetry); the rim is either clamped (Ur = Uz = 0,
-beta = 0) or pinned (Ur = Uz = 0).
+beta = 0) or pinned (Ur = Uz = 0).  The rim reaction is read from one row of
+the unconstrained system.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InputDomainError, MeshError, SolverError
 from .geometry import CapGeometry
@@ -59,6 +62,7 @@ _GAUSS_W = np.array(
     [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
 )
 _N_TO_PA_UM2 = 1.0e-12  # 1 Pa * um^2 in newtons
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 BOUNDARY_CONDITIONS = ("clamped", "pinned")
 
@@ -288,23 +292,30 @@ def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np
     of a unit pressure, memoized on the mesh per Poisson ratio.
 
     The arrays are read-only: they are shared by every solve on the mesh.
+    A mesh so large that the parts overflow is rejected with MeshError.
     """
     parts = mesh._unit_parts.get(nu)
     if parts is not None:
         return parts
-    k_el, f_el = _element_parts(mesh, nu)
     n_dof = mesh.n_dof
     band = np.zeros((2, HALF_BANDWIDTH + 1, n_dof))
     f1 = np.zeros(n_dof)
-    # Entry (i, j) of element e lands in column 3 e + j, so one entry of all
-    # elements is a strided slice.  A slot gets at most two contributions,
-    # from the two elements at a node, and their sum does not depend on the
-    # order of the additions.
-    stop = 3 * mesh.n_elements
-    for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
-        band[:, row, j : j + stop : 3] += k_el[:, m]
-    for i in range(6):
-        f1[i : i + stop : 3] += f_el[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_el, f_el = _element_parts(mesh, nu)
+        # Entry (i, j) of element e lands in column 3 e + j, so one entry of
+        # all elements is a strided slice.  A slot gets at most two
+        # contributions, from the two elements at a node, and their sum does
+        # not depend on the order of the additions.
+        stop = 3 * mesh.n_elements
+        for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
+            band[:, row, j : j + stop : 3] += k_el[:, m]
+        for i in range(6):
+            f1[i : i + stop : 3] += f_el[i]
+    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
+        radius = mesh.radius_um if mesh.radius_um is not None else float(mesh.r_um[-1])
+        raise MeshError(
+            f"stiffness of the mesh overflows: radius {radius:g} um is out of range"
+        )
     parts = (band[0], band[1], f1)
     for a in parts:
         a.flags.writeable = False
@@ -320,7 +331,8 @@ def assemble_system(
     The banded layout is scipy's: ab[HALF_BANDWIDTH + i - j, j] = K[i, j]
     for i <= j.  K = c_m K_m + d_b K_b and f = P f_1, with the parts built
     once per mesh and Poisson ratio.  A shell thicker than the sphere radius
-    of a cap mesh is rejected.
+    of a cap mesh is rejected, and a stiffness or load that overflows is a
+    SolverError.
     """
     t = float(thickness_um)
     if mesh.radius_um is not None and t > mesh.radius_um:
@@ -335,10 +347,15 @@ def assemble_system(
         d_b = e_mod * t**3 / (12.0 * (1.0 - nu * nu))
     except OverflowError:
         raise SolverError(f"bending rigidity overflows at thickness {t!r} um") from None
-    ab = c_m * k_m + d_b * k_b
-    if not np.all(np.isfinite(ab)):
+    p = float(pressure_pa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = c_m * k_m + d_b * k_b
+        f = p * f1
+    if not np.isfinite(ab).all():
         raise SolverError(f"non-finite stiffness at thickness {t!r} um")
-    return ab, float(pressure_pa) * f1
+    if not np.isfinite(f).all():
+        raise SolverError(f"non-finite load at pressure {p!r} Pa")
+    return ab, f
 
 
 def band_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -354,14 +371,51 @@ def band_to_dense(ab: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _band_row(ab: np.ndarray, i: int) -> list[tuple[float, int]]:
+    """Row ``i`` of a symmetric upper-banded matrix as (entry, column) pairs.
+
+    The diagonal comes first, then per offset the entry right of the
+    diagonal and the one left of it: the order in which a banded product
+    adds its diagonals.
+    """
     hb = ab.shape[0] - 1
-    y = ab[hb] * x
+    n = ab.shape[1]
+    terms = [(float(ab[hb, i]), i)]
     for off in range(1, hb + 1):
-        vals = ab[hb - off, off:]
-        y[:-off] += vals * x[off:]
-        y[off:] += vals * x[:-off]
+        if i + off < n:
+            terms.append((float(ab[hb - off, i + off]), i + off))
+        if i >= off:
+            terms.append((float(ab[hb - off, i]), i - off))
+    return terms
+
+
+def _row_dot(terms: list[tuple[float, int]], x: np.ndarray) -> float:
+    """Sum of entry * x[column] over a ``_band_row``, in its order."""
+    (a, j), *rest = terms
+    y = a * float(x[j])
+    for a, j in rest:
+        y += a * float(x[j])
     return y
+
+
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor of ``ab`` (LAPACK dpbtrf); ``ab`` is kept."""
+    factor, info = _PBTRF(ab)
+    if info > 0:
+        raise SolverError(
+            f"stiffness factorization failed: leading minor {info} is not positive definite"
+        )
+    if info < 0:
+        raise SolverError(f"stiffness factorization failed: dpbtrf info {info}")
+    return factor
+
+
+def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve K x = b from the upper banded Cholesky factor of K (LAPACK dpbtrs)."""
+    x, info = _PBTRS(factor, b)
+    if info != 0:
+        raise SolverError(f"banded back-solve failed: dpbtrs info {info}")
+    return x
 
 
 def fixed_dofs(n_nodes: int, bc: str) -> tuple[int, ...]:
@@ -428,7 +482,7 @@ class FemSolution:
             col_sums[:-off] += np.abs(ab[hb - off, off:])
 
         def solve(x: np.ndarray) -> np.ndarray:
-            return cho_solve_banded((self.factor, False), x)
+            return cho_solve_banded(self.factor, x)
 
         # K is symmetric, so K^-T = K^-1 in Hager's iteration.
         x = np.full(n, 1.0 / n)
@@ -489,23 +543,18 @@ def solve_case(
     (which signals a modelling defect, not a load regime).
     """
     _check_solve_args(thickness_um, pressure_pa, bc)
-    ab0, f0 = assemble_system(mesh, thickness_um, material, pressure_pa)
-    ab = ab0.copy()
-    f = f0.copy()
-    fixed = fixed_dofs(mesh.n_nodes, bc)
-    _apply_bc(ab, f, fixed)
-    try:
-        factor = cholesky_banded(ab, lower=False)
-    except LinAlgError as exc:
-        raise SolverError(f"stiffness factorization failed: {exc}") from exc
-    d = cho_solve_banded((factor, False), f)
+    ab, f = assemble_system(mesh, thickness_um, material, pressure_pa)
+    # The rim's axial reaction is (K0 d - f0) at its Uz dof, so that row of
+    # the unconstrained system is kept before the supports zero it.
+    rim_uz = 3 * (mesh.n_nodes - 1) + 1
+    rim_row = _band_row(ab, rim_uz)
+    rim_load = float(f[rim_uz])
+    _apply_bc(ab, f, fixed_dofs(mesh.n_nodes, bc))
+    factor = cholesky_banded(ab)
+    d = cho_solve_banded(factor, f)
     if not np.all(np.isfinite(d)):
         raise SolverError("solver produced non-finite displacements")
-
-    # Reactions from the unconstrained operator: R = K0 d - f0 at supports.
-    reactions = _band_matvec(ab0, d) - f0
-    rim_uz = 3 * (mesh.n_nodes - 1) + 1
-    rim_vertical_n = float(reactions[rim_uz]) * _N_TO_PA_UM2
+    rim_vertical_n = (_row_dot(rim_row, d) - rim_load) * _N_TO_PA_UM2
     # Axial resultant of uniform normal pressure is P times the projected
     # area pi b^2 regardless of the meridian shape; the rim support carries
     # all of it, which is the global equilibrium statement checked here.

@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .doe import (
@@ -55,6 +55,9 @@ from .stats import (
     fit_screening_model,
 )
 from .units import ATM_PA
+
+if TYPE_CHECKING:
+    from .fem import ShellMesh
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,9 @@ def _slug(name: str) -> str:
     return out.strip("_")
 
 
-def _responses(config: StudyConfig, plan: ExperimentPlan, source: str):
+def _responses(
+    config: StudyConfig, plan: ExperimentPlan, source: str, mesh: ShellMesh | None
+):
     if source == "analytical":
         return realize_responses(
             plan,
@@ -317,8 +322,6 @@ def _responses(config: StudyConfig, plan: ExperimentPlan, source: str):
             source="analytical",
         )
     if source == "fem":
-        mesh = mesh_cap(config.geometry, config.fem_elements)
-
         def fem_apex(case) -> float:
             sol = solve_case(
                 mesh, case.thickness_um, case.material, case.pressure_pa, config.fem_bc
@@ -382,10 +385,15 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
     ))
     stage("plan", lambda: plan_to_csv(plan, out / "plan.csv"))
 
+    # One mesh serves the fem responses and the fem screen, and lives as long
+    # as this study.
+    mesh = None
+    if "fem" in config.sources:
+        mesh = stage("responses:fem", lambda: mesh_cap(config.geometry, config.fem_elements))
     responses: dict[str, tuple[RunResult, ...]] = {}
     for source in config.sources:
         responses[source] = stage(
-            f"responses:{source}", lambda s=source: _responses(config, plan, s)
+            f"responses:{source}", lambda s=source: _responses(config, plan, s, mesh)
         )
         stage(
             f"responses:{source}",
@@ -417,7 +425,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
                 fit=f,
                 atm_pa=config.atm_pa,
                 fem_bc=config.fem_bc,
-                fem_elements=config.fem_elements,
+                fem_mesh=mesh,
             ),
         )
         analyses.append(

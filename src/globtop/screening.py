@@ -203,16 +203,22 @@ def _fem_min_thickness(
     The apex falls about as 1/t where membrane action carries the load and
     as 1/t**3 where bending does, so g = log(w / limit) is nearly linear in
     u = log t.  The closed form seeds u; the bracket grows geometrically, up
-    to the sphere radius; ``brentq`` closes it.
+    to the sphere radius; ``brentq`` closes it.  Each u is solved once:
+    ``brentq`` starts by evaluating the bracket ends, which the bracketing
+    has already solved.
     """
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
+    solved: dict[float, float] = {}
 
     def excess(u: float) -> float:
-        # exp(u_max) may round above the radius, which a solve rejects.
-        t = min(math.exp(u), geometry.radius_um)
-        w = solve_case(mesh, t, material, pressure_pa, bc).apex_deflection_um
-        return math.log(w / limit_um)
+        g = solved.get(u)
+        if g is None:
+            # exp(u_max) may round above the radius, which a solve rejects.
+            t = min(math.exp(u), geometry.radius_um)
+            w = solve_case(mesh, t, material, pressure_pa, bc).apex_deflection_um
+            g = solved[u] = math.log(w / limit_um)
+        return g
 
     u_max = math.log(geometry.radius_um)
     a = min(math.log(min_thickness(material, geometry, pressure_pa, limit_um)), u_max)
@@ -276,12 +282,15 @@ def screen(
     atm_pa: float = ATM_PA,
     fem_bc: str = "clamped",
     fem_elements: int = 96,
+    fem_mesh: ShellMesh | None = None,
 ) -> tuple[Verdict, ...]:
     """Screen every library material under one response source.
 
     Verdicts are sorted by minimum feasible thickness, best material first,
     with the material name breaking exact ties deterministically.  The
-    external source needs the ``fit`` of the external response column.
+    external source needs the ``fit`` of the external response column.  The
+    fem source solves on ``fem_mesh``, a mesh of ``geometry``, when one is
+    given, and otherwise on a new mesh of ``fem_elements`` elements.
     """
     if source not in SOURCES:
         raise ConfigError(f"source must be one of {SOURCES}, got {source!r}")
@@ -290,7 +299,7 @@ def screen(
     p_max = atm_to_pa(criteria.max_pressure_atm, atm_pa)
     limit = criteria.deflection_limit_um
     if source == "fem":
-        mesh = mesh_cap(geometry, fem_elements)
+        mesh = fem_mesh if fem_mesh is not None else mesh_cap(geometry, fem_elements)
     verdicts = []
     for mat in library:
         if source == "analytical":
@@ -346,7 +355,12 @@ def thickness_profile(
     pressure_atm: float | None = None,
     atm_pa: float = ATM_PA,
 ) -> ThicknessProfile:
-    """Sweep the closed-form apex deflection over the thickness range."""
+    """Sweep the closed-form apex deflection over the thickness range.
+
+    Each point is ``apex_deflection`` of its ``ShellCase``, computed in the
+    same order with K(nu, alpha) taken once.  Cases are built only at the
+    two ends, for their checks and thin-shell warnings: t/a grows with t.
+    """
     n = int(n_points)
     if n < 2:
         raise InputDomainError(f"n_points must be at least 2, got {n_points!r}")
@@ -354,9 +368,13 @@ def thickness_profile(
     p_pa = atm_to_pa(p_atm, atm_pa)
     lo, hi = criteria.thickness_range_um
     ts = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
-    ws = tuple(
-        apex_deflection(ShellCase(geometry, t, material, p_pa)) for t in ts
-    )
+    for t in (ts[0], ts[-1]):
+        ShellCase(geometry, t, material, p_pa)
+    a = geometry.radius_um
+    load = a * a * p_pa
+    e_mod = material.youngs_modulus_pa
+    k = apex_coefficient(material.poisson_ratio, geometry.base_angle_rad)
+    ws = tuple(abs(load / (e_mod * t) * k) for t in ts)
     ds = tuple(
         desirability(w, 0.0, criteria.deflection_limit_um) for w in ws
     )

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -390,6 +391,24 @@ class TestFem:
         assert out == ""
         assert err.splitlines() == [
             "error: thickness_um 1e+120 exceeds the sphere radius 3010 um of the mesh"
+        ]
+
+    def test_a_radius_whose_stiffness_overflows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "fem",
+                "--material", "Carbon epoxy resin",
+                "--thickness-um", "1",
+                "--pressure-atm", "100",
+                "--radius-um", "1e200",
+                "--angle-deg", "30",
+            )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: stiffness of the mesh overflows: radius 1e+200 um is out of range"
         ]
 
     def test_bad_support_flag(self, capsys):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import globtop as gt
 from globtop import fem
-from globtop.errors import InputDomainError, MeshError
+from globtop.errors import InputDomainError, MeshError, SolverError
 
 from .oracles import mp_fem_apex
 
@@ -147,14 +148,18 @@ class TestAssembly:
         dense = fem.band_to_dense(ab)
         assert np.array_equal(dense, dense.T)
 
-    def test_band_matvec_matches_dense(self, coarse_mesh, cer):
+    def test_band_row_matches_dense(self, coarse_mesh, cer):
         ab, _ = fem.assemble_system(coarse_mesh, 150.0, cer, 1.0e6)
         dense = fem.band_to_dense(ab)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(ab.shape[1])
-        got = fem._band_matvec(ab, x)
         want = dense @ x
+        got = np.array([fem._row_dot(fem._band_row(ab, i), x) for i in range(ab.shape[1])])
         assert np.allclose(got, want, rtol=1e-13, atol=1e-6 * np.max(np.abs(want)))
+        n = ab.shape[1]
+        for i in range(n):
+            columns = [j for _, j in fem._band_row(ab, i)]
+            assert sorted(columns) == [j for j in range(n) if abs(i - j) <= fem.HALF_BANDWIDTH]
 
     def test_load_vector_shape_and_direction(self, coarse_mesh, cer):
         _, f = fem.assemble_system(coarse_mesh, 150.0, cer, 1.0e6)
@@ -174,6 +179,20 @@ class TestAssembly:
         # A mesh with no sphere radius takes any thickness; t**3 overflows.
         with pytest.raises(gt.SolverError, match="bending rigidity overflows"):
             fem.assemble_system(flat_mesh(100.0, 8), 1e120, cer, 1.0e6)
+
+    def test_a_mesh_whose_parts_overflow_is_a_mesh_error(self, cer):
+        geometry = gt.from_radius_angle(1e200, 30.0)
+        mesh = fem.mesh_cap(geometry, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="radius 1e[+]200 um is out of range"):
+                fem.assemble_system(mesh, 1.0, cer, 1.0e6)
+
+    def test_an_overflowing_load_is_a_solver_error(self, coarse_mesh, cer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite load"):
+                fem.assemble_system(coarse_mesh, 150.0, cer, 1e305)
 
     def test_fixed_dofs(self):
         assert fem.fixed_dofs(65, "clamped") == (0, 2, 192, 193, 194)
@@ -388,6 +407,70 @@ class TestAgainstDenseSolve:
         sol = fem.solve_case(coarse_mesh, 150.0, cer, p, "clamped")
         assert abs(full[1]) == pytest.approx(sol.apex_deflection_um, rel=1e-9)
         assert np.allclose(full[1::3], sol.u_z_um, rtol=1e-9, atol=1e-12)
+
+
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for a symmetric upper-banded K, one diagonal after another."""
+    hb = ab.shape[0] - 1
+    y = ab[hb] * x
+    for off in range(1, hb + 1):
+        vals = ab[hb - off, off:]
+        y[:-off] += vals * x[off:]
+        y[off:] += vals * x[:-off]
+    return y
+
+
+class TestLeanSolve:
+    """solve_case calls LAPACK itself and computes only the rim's reaction
+    row; its results keep the bits of scipy's banded Cholesky routines and of
+    a full banded product."""
+
+    @pytest.mark.parametrize("bc", fem.BOUNDARY_CONDITIONS)
+    def test_matches_the_scipy_path_bit_for_bit(self, reference_cap, cer, bc):
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        mesh = fem.mesh_cap(reference_cap, 96)
+        p = gt.atm_to_pa(100.0)
+        fixed = fem.fixed_dofs(mesh.n_nodes, bc)
+        rim_uz = 3 * (mesh.n_nodes - 1) + 1
+        for t in (40.0, 150.0, 450.0, 2000.0):
+            ab0, f0 = fem.assemble_system(mesh, t, cer, p)
+            ab, f = ab0.copy(), f0.copy()
+            fem._apply_bc(ab, f, fixed)
+            factor = cholesky_banded(ab, lower=False)
+            d = cho_solve_banded((factor, False), f)
+            sol = fem.solve_case(mesh, t, cer, p, bc)
+            assert np.array_equal(sol.stiffness, ab)
+            assert np.array_equal(sol.factor, factor)
+            assert np.array_equal(sol.u_r_um, d[0::3])
+            assert np.array_equal(sol.u_z_um, d[1::3])
+            assert np.array_equal(sol.rotation_rad, d[2::3])
+            reaction = float((band_matvec(ab0, d) - f0)[rim_uz])
+            assert sol.rim_reaction_vertical_n == reaction * 1e-12
+
+            dense = fem.band_to_dense(ab0)
+            for k in fixed:
+                terms = dense[k] * d
+                got = fem._row_dot(fem._band_row(ab0, k), d)
+                assert abs(got - float(terms.sum())) <= 1e-13 * float(np.abs(terms).sum())
+
+    def test_an_indefinite_band_is_a_solver_error(self):
+        # K = [[1, 2, 0], [2, 1, 0], [0, 0, 1]] in upper banded form.
+        ab = np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(SolverError, match="leading minor 2 is not positive definite"):
+            fem.cholesky_banded(ab)
+
+    def test_factor_and_back_solve(self):
+        # K = [[4, 2, 0], [2, 5, 1], [0, 1, 2]]: the factor keeps K, and the
+        # back-solve of K x = b leaves b.
+        ab = np.array([[0.0, 2.0, 1.0], [4.0, 5.0, 2.0]])
+        kept = ab.copy()
+        factor = fem.cholesky_banded(ab)
+        assert np.array_equal(ab, kept)
+        b = np.array([8.0, 15.0, 8.0])
+        x = fem.cho_solve_banded(factor, b)
+        assert np.array_equal(b, [8.0, 15.0, 8.0])
+        assert np.allclose(x, [1.0, 2.0, 3.0], rtol=1e-14)
 
 
 class TestConvergenceLadder:

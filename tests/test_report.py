@@ -366,6 +366,31 @@ class TestRunStudy:
         for row in report.comparison:
             assert 0.5 < row.ratio < 2.0
 
+    def test_a_fem_study_builds_one_mesh(self, monkeypatch, tmp_path):
+        from globtop import fem, report, screening
+
+        meshes, builds = [], []
+        element_parts = fem._element_parts
+
+        def counted_mesh(*args):
+            meshes.append(args)
+            return fem.mesh_cap(*args)
+
+        def counted_parts(mesh, nu):
+            builds.append(nu)
+            return element_parts(mesh, nu)
+
+        monkeypatch.setattr(report, "mesh_cap", counted_mesh)
+        monkeypatch.setattr(screening, "mesh_cap", counted_mesh)
+        monkeypatch.setattr(fem, "_element_parts", counted_parts)
+        config = parse_config(
+            {"sources": ["analytical", "fem"], "fem": {"n_elements": 16}, "profile_points": 5}
+        )
+        run_study(config, tmp_path)
+        assert meshes == [(config.geometry, 16)]
+        # Parylene C and carbon epoxy resin share nu = 0.4.
+        assert sorted(builds) == [0.35, 0.4]
+
     def test_failing_stage_leaves_stale_marker(self, tmp_path):
         # parse_config rejects a 2-material library, so it is put in by hand.
         two = gt.MaterialLibrary(

@@ -257,6 +257,33 @@ class TestScreenFem:
         # One worst-case solve per material; the rest are the root finds.
         assert len(solves) - len(library) <= 30
 
+    def test_root_find_never_solves_a_thickness_twice(
+        self, monkeypatch, library, reference_cap, criteria
+    ):
+        from globtop import screening
+
+        solves, evals = [], []
+        solve, brentq = screening.solve_case, screening.brentq
+
+        def recorded_solve(mesh, t, material, *args):
+            solves.append((material.name, t))
+            return solve(mesh, t, material, *args)
+
+        def recorded_brentq(f, a, b, **kwargs):
+            evals.append(a)
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(screening, "solve_case", recorded_solve)
+        monkeypatch.setattr(screening, "brentq", recorded_brentq)
+        mesh = gt.mesh_cap(reference_cap, 16)
+        p = gt.atm_to_pa(criteria.max_pressure_atm)
+        for material in library:
+            screening._fem_min_thickness(
+                material, reference_cap, mesh, p, criteria.deflection_limit_um, "clamped"
+            )
+        assert len(evals) == len(library)
+        assert len(solves) == len(set(solves))
+
     def test_unconverged_root_find_raises(self, monkeypatch, cer, reference_cap, criteria):
         from scipy import optimize
 
@@ -374,6 +401,21 @@ class TestThicknessProfile:
             case = gt.ShellCase(reference_cap, t, cer, p)
             assert w == gt.apex_deflection(case)
             assert d == gt.desirability(w, 0.0, 5.0)
+
+    @pytest.mark.filterwarnings("ignore::globtop.ThinShellWarning")
+    def test_every_point_is_the_apex_deflection_of_its_case(self, library, reference_cap):
+        criteria = gt.ScreeningCriteria(thickness_range_um=(0.37, 1234.5))
+        p = gt.atm_to_pa(87.3)
+        for material in library:
+            prof = gt.thickness_profile(material, reference_cap, criteria, pressure_atm=87.3)
+            assert len(prof.thickness_um) == 101
+            for t, w in zip(prof.thickness_um, prof.deflection_um):
+                assert w == gt.apex_deflection(gt.ShellCase(reference_cap, t, material, p))
+
+    def test_a_range_past_the_thin_shell_limit_warns(self, cer, reference_cap):
+        criteria = gt.ScreeningCriteria(thickness_range_um=(150.0, 400.0))
+        with pytest.warns(gt.ThinShellWarning, match="thickness/radius = 0.1329"):
+            gt.thickness_profile(cer, reference_cap, criteria)
 
     def test_deflection_decreases_with_thickness(self, polyimide, reference_cap, criteria):
         prof = gt.thickness_profile(polyimide, reference_cap, criteria, n_points=21)

@@ -31,22 +31,26 @@ The global system is symmetric positive definite after boundary conditions
 and has half-bandwidth 5, so it is stored in banded form and solved with a
 banded Cholesky factorization, LAPACK's dpbtrf and dpbtrs called directly
 (the routines behind scipy's cholesky_banded and cho_solve_banded, without
-their per-call wrapping).  Supports: the apex node is held on the axis
-(Ur = 0, beta = 0 by symmetry); the rim is either clamped (Ur = Uz = 0,
-beta = 0) or pinned (Ur = Uz = 0).  The rim reaction is read from one row of
-the unconstrained system.
+their per-call wrapping).  They come from scipy's LAPACK extension module,
+loaded from its file: importing the scipy.linalg package would add about
+0.3 s of numpy and scipy modules that this module never uses.  Supports:
+the apex node is held on the axis (Ur = 0, beta = 0 by symmetry); the rim
+is either clamped (Ur = Uz = 0, beta = 0) or pinned (Ur = Uz = 0).  The rim
+reaction is read from one row of the unconstrained system.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import IO
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import InputDomainError, MeshError, SolverError
 from .geometry import CapGeometry
@@ -62,7 +66,39 @@ _GAUSS_W = np.array(
     [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
 )
 _N_TO_PA_UM2 = 1.0e-12  # 1 Pa * um^2 in newtons
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file.
+
+    ``import scipy.linalg`` runs the package ``__init__``, which also loads
+    ``numpy.f2py``, ``numpy.ma``, ``numpy.random`` and ``numpy.testing``; the
+    extension alone loads in about 5 ms.  It is registered under its own
+    name, so a later ``import scipy.linalg`` in the process reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if scipy is not None else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(
+        "globtop.fem needs scipy: its LAPACK extension scipy/linalg/_flapack was not found",
+        name="scipy",
+    )
+
+
+# The float64 routines scipy.linalg.get_lapack_funcs returns.
+_FLAPACK = _load_flapack()
+_PBTRF, _PBTRS = _FLAPACK.dpbtrf, _FLAPACK.dpbtrs
 
 BOUNDARY_CONDITIONS = ("clamped", "pinned")
 
@@ -198,12 +234,14 @@ def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
     (6, n_el).  Every sum is elementwise in a fixed order, so the result
     does not depend on the BLAS build.
 
-    The parts are built one after the other and each column of D b is
-    formed where it is used.  At 256 elements no temporary then reaches
-    128 kB, the size from which malloc may map fresh pages for a request
-    and unmap them when it is freed; whether it does depends on the
-    process's heap history, so larger temporaries make a study page-fault
-    hundreds of times in one process and hardly at all in the next.
+    The parts are built one after the other into one b, each part's strain
+    rows only while b is filled, and each column of D b where it is used.
+    At 256 elements no temporary then reaches 128 kB, the size from which
+    malloc may map fresh pages for a request and unmap them when it is
+    freed, and all of them together peak near 320 kB.  malloc also returns
+    the top of its heap to the system once more than 128 kB there is free,
+    after which the next build faults its peak back in, so a larger peak
+    costs a ``converge`` more page faults.
     """
     r = mesh.r_um
     z = mesh.z_um
@@ -221,56 +259,58 @@ def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
     ell = length[None, :]
     r_g = r1 + (xi * ell) * tr
     wgt = 2.0 * math.pi * _GAUSS_W[:, None] * (length / 2.0) * r_g
-    # Cubic Hermite shapes for w (w1, beta1, w2, beta2) and their first and
-    # second arc-length derivatives.
+    # Cubic Hermite shapes for w (w1, beta1, w2, beta2).
     h = (
         1.0 - 3.0 * xi**2 + 2.0 * xi**3,
         ell * (xi - 2.0 * xi**2 + xi**3),
         3.0 * xi**2 - 2.0 * xi**3,
         ell * (-(xi**2) + xi**3),
     )
-    dh = (
-        (-6.0 * xi + 6.0 * xi**2) / ell,
-        1.0 - 4.0 * xi + 3.0 * xi**2,
-        (6.0 * xi - 6.0 * xi**2) / ell,
-        -2.0 * xi + 3.0 * xi**2,
-    )
-    d2h = (
-        (-6.0 + 12.0 * xi) / ell**2,
-        (-4.0 + 6.0 * xi) / ell,
-        (6.0 - 12.0 * xi) / ell**2,
-        (-2.0 + 6.0 * xi) / ell,
-    )
-
-    # Strain rows (e_s, e_t) and (k_s, k_t) over the local nodal dofs
-    # (u1, w1, beta1, u2, w2, beta2).
     inv_l = 1.0 / length
     n_over_r = nr / r_g
     t_over_r = tr / r_g
-    local = (
-        (
-            (-inv_l, 0.0, 0.0, inv_l, 0.0, 0.0),
-            ((1.0 - xi) * t_over_r, h[0] * n_over_r, h[1] * n_over_r,
-             xi * t_over_r, h[2] * n_over_r, h[3] * n_over_r),
-        ),
-        (
-            (0.0, -d2h[0], -d2h[1], 0.0, -d2h[2], -d2h[3]),
-            (0.0, -dh[0] * t_over_r, -dh[1] * t_over_r,
-             0.0, -dh[2] * t_over_r, -dh[3] * t_over_r),
-        ),
-    )
-    k = np.empty((2, len(_PAIRS[0]), mesh.n_elements))
-    for part, rows in enumerate(local):
-        # Rotate each node's (u, w) columns to (Ur, Uz): u = Tr Ur + Tz Uz
-        # and w = Nr Ur + Nz Uz.  b is (strain row, global dof, gauss,
-        # element).
-        b = np.empty((2, 6, 4, mesh.n_elements))
+
+    # b is (strain row, global dof, gauss, element), refilled per part.
+    b = np.empty((2, 6, 4, mesh.n_elements))
+
+    def fill_b(part: int) -> None:
+        """Build the part's strain rows over the local nodal dofs
+        (u1, w1, beta1, u2, w2, beta2) and rotate each node's (u, w) columns
+        into b's (Ur, Uz): u = Tr Ur + Tz Uz and w = Nr Ur + Nz Uz."""
+        if part == 0:  # membrane (e_s, e_t)
+            rows = (
+                (-inv_l, 0.0, 0.0, inv_l, 0.0, 0.0),
+                ((1.0 - xi) * t_over_r, h[0] * n_over_r, h[1] * n_over_r,
+                 xi * t_over_r, h[2] * n_over_r, h[3] * n_over_r),
+            )
+        else:  # bending (k_s, k_t), from the shapes' arc-length derivatives
+            dh = (
+                (-6.0 * xi + 6.0 * xi**2) / ell,
+                1.0 - 4.0 * xi + 3.0 * xi**2,
+                (6.0 * xi - 6.0 * xi**2) / ell,
+                -2.0 * xi + 3.0 * xi**2,
+            )
+            d2h = (
+                (-6.0 + 12.0 * xi) / ell**2,
+                (-4.0 + 6.0 * xi) / ell,
+                (6.0 - 12.0 * xi) / ell**2,
+                (-2.0 + 6.0 * xi) / ell,
+            )
+            rows = (
+                (0.0, -d2h[0], -d2h[1], 0.0, -d2h[2], -d2h[3]),
+                (0.0, -dh[0] * t_over_r, -dh[1] * t_over_r,
+                 0.0, -dh[2] * t_over_r, -dh[3] * t_over_r),
+            )
         for row, cols in enumerate(rows):
             for base in (0, 3):
                 u, w, beta = cols[base : base + 3]
                 b[row, base] = u * tr + w * nr
                 b[row, base + 1] = u * tz + w * nz
                 b[row, base + 2] = beta
+
+    k = np.empty((2, len(_PAIRS[0]), mesh.n_elements))
+    for part in range(2):
+        fill_b(part)
         for j in range(6):
             # Column j of weighted D b, D = [[1, nu], [nu, 1]], against rows
             # 0..j of b, summed over the Gauss points in order.
@@ -280,11 +320,17 @@ def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
             q += b[1, : j + 1] * db1
             first = j * (j + 1) // 2
             k[part, first : first + j + 1] = q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]
+            del db0, db1, q  # before the next column's, or the next part's rows
 
     # Consistent load of a unit pressure against the outward normal.
     fw = [-(hw[0] + hw[1] + hw[2] + hw[3]) for hw in (hk * wgt for hk in h)]
     f = np.array([fw[0] * nr, fw[0] * nz, fw[1], fw[2] * nr, fw[2] * nz, fw[3]])
     return k, f
+
+
+def _radius(mesh: ShellMesh) -> float:
+    """The sphere radius of a cap mesh, else the radius of its rim."""
+    return mesh.radius_um if mesh.radius_um is not None else float(mesh.r_um[-1])
 
 
 def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,11 +343,10 @@ def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np
     parts = mesh._unit_parts.get(nu)
     if parts is not None:
         return parts
-    n_dof = mesh.n_dof
-    band = np.zeros((2, HALF_BANDWIDTH + 1, n_dof))
-    f1 = np.zeros(n_dof)
     with np.errstate(over="ignore", invalid="ignore"):
         k_el, f_el = _element_parts(mesh, nu)
+        band = np.zeros((2, HALF_BANDWIDTH + 1, mesh.n_dof))
+        f1 = np.zeros(mesh.n_dof)
         # Entry (i, j) of element e lands in column 3 e + j, so one entry of
         # all elements is a strided slice.  A slot gets at most two
         # contributions, from the two elements at a node, and their sum does
@@ -312,9 +357,8 @@ def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np
         for i in range(6):
             f1[i : i + stop : 3] += f_el[i]
     if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
-        radius = mesh.radius_um if mesh.radius_um is not None else float(mesh.r_um[-1])
         raise MeshError(
-            f"stiffness of the mesh overflows: radius {radius:g} um is out of range"
+            f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
         )
     parts = (band[0], band[1], f1)
     for a in parts:
@@ -331,8 +375,8 @@ def assemble_system(
     The banded layout is scipy's: ab[HALF_BANDWIDTH + i - j, j] = K[i, j]
     for i <= j.  K = c_m K_m + d_b K_b and f = P f_1, with the parts built
     once per mesh and Poisson ratio.  A shell thicker than the sphere radius
-    of a cap mesh is rejected, and a stiffness or load that overflows is a
-    SolverError.
+    of a cap mesh is rejected.  The parts are finite, so a stiffness or load
+    that overflows means the inputs are out of range: InputDomainError.
     """
     t = float(thickness_um)
     if mesh.radius_um is not None and t > mesh.radius_um:
@@ -346,15 +390,21 @@ def assemble_system(
     try:
         d_b = e_mod * t**3 / (12.0 * (1.0 - nu * nu))
     except OverflowError:
-        raise SolverError(f"bending rigidity overflows at thickness {t!r} um") from None
+        raise InputDomainError(f"bending rigidity overflows at thickness {t!r} um") from None
     p = float(pressure_pa)
     with np.errstate(over="ignore", invalid="ignore"):
         ab = c_m * k_m + d_b * k_b
         f = p * f1
     if not np.isfinite(ab).all():
-        raise SolverError(f"non-finite stiffness at thickness {t!r} um")
+        raise InputDomainError(
+            f"stiffness overflows at thickness {t:g} um and radius {_radius(mesh):g} um:"
+            " the inputs are out of range"
+        )
     if not np.isfinite(f).all():
-        raise SolverError(f"non-finite load at pressure {p!r} Pa")
+        raise InputDomainError(
+            f"load overflows at pressure {p:g} Pa and radius {_radius(mesh):g} um:"
+            " the inputs are out of range"
+        )
     return ab, f
 
 
@@ -427,20 +477,37 @@ def fixed_dofs(n_nodes: int, bc: str) -> tuple[int, ...]:
     return tuple(sorted(fixed))
 
 
+@lru_cache(maxsize=32)
+def _constraint_index(
+    shape: tuple[int, int], fixed: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat band positions that constraining the fixed dofs writes.
+
+    Returns the positions of their off-diagonal entries, column k's above
+    the diagonal (with the unused corner above the first columns) and row
+    k's right of it, then those of their diagonal, then the dofs.
+    """
+    hb = shape[0] - 1
+    n = shape[1]
+    zero = [row * n + k for k in fixed for row in range(hb)]
+    zero += [(hb - off) * n + k + off for k in fixed for off in range(1, hb + 1) if k + off < n]
+    index = (np.array(zero), np.array([hb * n + k for k in fixed]), np.array(fixed))
+    for a in index:
+        a.flags.writeable = False  # shared by every solve on this shape
+    return index
+
+
 def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> float:
     """Zero rows/columns of the fixed dofs in place; returns the diagonal scale."""
-    hb = ab.shape[0] - 1
-    n = ab.shape[1]
-    scale = float(np.mean(np.abs(ab[hb])))
+    # The sum over the column count is np.mean's arithmetic, without its
+    # per-call overhead.
+    scale = float(np.abs(ab[-1]).sum()) / ab.shape[1]
     if scale == 0.0:
         scale = 1.0
-    for k in fixed:
-        ab[:hb, k] = 0.0
-        for off in range(1, hb + 1):
-            if k + off < n:
-                ab[hb - off, k + off] = 0.0
-        ab[hb, k] = scale
-        f[k] = 0.0
+    zero, diagonal, dofs = _constraint_index(ab.shape, fixed)
+    ab.put(zero, 0.0)
+    ab.put(diagonal, scale)
+    f[dofs] = 0.0
     return scale
 
 

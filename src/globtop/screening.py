@@ -158,8 +158,8 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
 def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
     """``fem.mesh_cap``, with ``fem`` imported on first use.
 
-    ``fem`` loads numpy and ``scipy.linalg``, half a second of a cold CLI
-    start that the closed-form commands never need.
+    ``fem`` loads numpy and scipy's LAPACK extension, a fifth of a second of
+    a cold CLI start that the closed-form commands never need.
     """
     from . import fem
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -98,6 +99,30 @@ def test_closed_form_paths_leave_numpy_and_scipy_out(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_FEM_RUNS = """
+import contextlib, io, sys
+from globtop import cli
+argv = ["fem", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv), cli.main(argv + ["--converge"])]
+assert codes == [0, 0], codes
+"""
+
+
+def test_fem_loads_lapack_without_the_scipy_linalg_package():
+    # fem needs numpy and scipy's LAPACK extension, not the scipy.linalg
+    # package, whose __init__ also loads numpy.f2py, numpy.ma and others.
+    src = str(Path(gt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{_FEM_RUNS}\n{_LOADED_NUMPY_OR_SCIPY}"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert {"numpy", "scipy.linalg._flapack"} <= loaded
+    assert {"scipy.linalg", "scipy.optimize", "numpy.f2py"}.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize(
@@ -409,6 +434,27 @@ class TestFem:
         assert out == ""
         assert err.splitlines() == [
             "error: stiffness of the mesh overflows: radius 1e+200 um is out of range"
+        ]
+
+    @pytest.mark.parametrize("radius", ["1e103", "1e104"])
+    def test_a_radius_whose_load_overflows(self, capsys, radius):
+        # The unit parts are finite here; the scaled load P f_1 is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "fem",
+                "--material", "Carbon epoxy resin",
+                "--thickness-um", "1",
+                "--pressure-atm", "100",
+                "--radius-um", radius,
+                "--angle-deg", "30",
+            )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: load overflows at pressure 1.01325e+07 Pa and radius {float(radius):g} um:"
+            " the inputs are out of range"
         ]
 
     def test_bad_support_flag(self, capsys):

@@ -313,9 +313,9 @@ def _exit_code(exc: GlobtopError) -> int:
         inner = exc.original
         if isinstance(inner, GlobtopError):
             return _exit_code(inner)
-        # An artifact that cannot be written is an input problem, as it is
-        # outside a stage.
-        return 1 if isinstance(inner, OSError) else 2
+        # An artifact that cannot be written, or a missing scipy, is an
+        # input or install problem, as it is outside a stage.
+        return 1 if isinstance(inner, (OSError, ImportError)) else 2
     if isinstance(exc, (ConfigError, InputDomainError, MeshError)):
         return 1
     return 2
@@ -336,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     except GlobtopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except OSError as exc:  # an output path that cannot be written
+    # An output path that cannot be written, or fem without scipy.
+    except (OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

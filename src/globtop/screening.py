@@ -22,6 +22,7 @@ gap between an analytical t_min and a fitted one is part of the answer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,8 @@ _CLASSES = {"pass": 0, "marginal": 1, "fail": 2}
 # Tolerance of the FEM thickness root in log t.  The 256-element apex
 # carries roundoff of about 1e-8 of itself, so a closer root means nothing.
 _ROOT_XTOL = 1e-8
+# scipy.optimize.brentq's smallest and default relative tolerance.
+_RTOL = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -179,15 +182,59 @@ def solve_case(
     return fem._solve_case(mesh, thickness_um, material, pressure_pa, bc)
 
 
-def brentq(f, a: float, b: float, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use.
+def brentq(
+    f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100
+) -> tuple[float, bool]:
+    """Root of ``f`` in [a, b] by Brent's method: ``(root, converged)``.
 
-    Loading ``scipy.optimize`` adds a quarter of a second or more to a cold
-    CLI start, and only the FEM screen needs it.
+    A step-for-step port of scipy's ``brentq.c``, with its defaults and its
+    ``rtol``, so each point evaluated and the root are scipy's bits; it
+    spares the FEM screen loading ``scipy.optimize``.  The ends may come in
+    either order.  A zero at an end is returned at once; ends of the same
+    sign are a ValueError, as in scipy.  ``f`` must not return NaN.
+    ``converged`` is False when ``maxiter`` steps leave the bracket wider
+    than ``xtol + _RTOL*|root|``.
     """
-    from scipy.optimize import brentq as scipy_brentq
-
-    return scipy_brentq(f, a, b, **kwargs)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, False
 
 
 def _fem_min_thickness(
@@ -203,9 +250,11 @@ def _fem_min_thickness(
     The apex falls about as 1/t where membrane action carries the load and
     as 1/t**3 where bending does, so g = log(w / limit) is nearly linear in
     u = log t.  The closed form seeds u; the bracket grows geometrically, up
-    to the sphere radius; ``brentq`` closes it.  Each u is solved once:
-    ``brentq`` starts by evaluating the bracket ends, which the bracketing
-    has already solved.
+    to the sphere radius; ``brentq``, this module's port of scipy's, closes
+    it to ``_ROOT_XTOL`` in u.  Each u is solved once: ``brentq`` starts by
+    evaluating the bracket ends, which the bracketing has already solved.
+    A root find that has not converged after its 100 iterations is a
+    ``SolverError`` naming the bracket in um.
     """
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
@@ -242,11 +291,11 @@ def _fem_min_thickness(
         a, g_a = b, g_b
         step *= 2.0
     lo, hi = min(a, b), max(a, b)
-    u, info = brentq(excess, lo, hi, xtol=_ROOT_XTOL, full_output=True, disp=False)
-    if not info.converged:
+    u, converged = brentq(excess, lo, hi, xtol=_ROOT_XTOL)
+    if not converged:
         raise SolverError(
             f"{material.name}: thickness root find did not converge in "
-            f"[{math.exp(lo):g}, {math.exp(hi):g}] um ({info.flag})"
+            f"[{math.exp(lo):g}, {math.exp(hi):g}] um after 100 iterations"
         )
     return math.exp(u)
 

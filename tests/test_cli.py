@@ -52,6 +52,7 @@ class TestTopLevel:
         assert _exit_code(StageError("plan", ConfigError("x"))) == 1
         assert _exit_code(StageError("plan", RuntimeError("x"))) == 2
         assert _exit_code(StageError("report", IsADirectoryError("x"))) == 1
+        assert _exit_code(StageError("responses:fem", ImportError("x"))) == 1
 
     def test_installed_entry_point(self):
         exe = shutil.which("globtop")
@@ -86,43 +87,74 @@ assert codes == [0] * len(runs), codes
 """
 
 
+def _run_python(script):
+    src = str(Path(gt.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "script",
     ["import sys, globtop", "import sys, globtop.cli", _CLOSED_FORM_RUNS],
     ids=["package", "cli", "closed-form-commands"],
 )
 def test_closed_form_paths_leave_numpy_and_scipy_out(script):
-    src = str(Path(gt.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{script}\n{_LOADED_NUMPY_OR_SCIPY}"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    proc = _run_python(f"{script}\n{_LOADED_NUMPY_OR_SCIPY}")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-_FEM_RUNS = """
-import contextlib, io, sys
-from globtop import cli
-argv = ["fem", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv), cli.main(argv + ["--converge"])]
-assert codes == [0, 0], codes
+_FEM_ARGV = """
+import json, pathlib, sys, tempfile
+d = pathlib.Path(tempfile.mkdtemp())
+(d / "study.json").write_text(
+    json.dumps({"sources": ["analytical", "fem"], "fem": {"n_elements": 16}, "profile_points": 5})
+)
+fem = ["fem", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"]
+study = ["study", "--config", str(d / "study.json"), "--out", str(d / "out")]
 """
+
+
+def _loaded_after(runs):
+    """numpy and scipy modules loaded once ``cli.main`` has run each argv in ``runs``."""
+    proc = _run_python(
+        f"{_FEM_ARGV}\nimport contextlib, io\nfrom globtop import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs}]\n"
+        f"assert set(codes) == {{0}}, codes\n{_LOADED_NUMPY_OR_SCIPY}"
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
 
 
 def test_fem_loads_lapack_without_the_scipy_linalg_package():
     # fem needs numpy and scipy's LAPACK extension, not the scipy.linalg
     # package, whose __init__ also loads numpy.f2py, numpy.ma and others.
-    src = str(Path(gt.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{_FEM_RUNS}\n{_LOADED_NUMPY_OR_SCIPY}"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(ast.literal_eval(proc.stdout))
+    loaded = _loaded_after("[fem, fem + ['--converge']]")
     assert {"numpy", "scipy.linalg._flapack"} <= loaded
     assert {"scipy.linalg", "scipy.optimize", "numpy.f2py"}.isdisjoint(loaded)
+
+
+def test_fem_study_loads_neither_scipy_optimize_nor_scipy_linalg():
+    # The study's thickness root find is screening's own Brent method.
+    loaded = _loaded_after("[study]")
+    assert {"numpy", "scipy.linalg._flapack"} <= loaded
+    assert {"scipy.linalg", "scipy.optimize", "numpy.f2py"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("command", ["fem", "study"])
+def test_without_scipy_fem_is_an_error_line(command):
+    proc = _run_python(
+        f"{_FEM_ARGV}\nsys.modules['scipy'] = None\nfrom globtop import cli\n"
+        f"raise SystemExit(cli.main({command}))"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "needs scipy" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from importlib import import_module
 
 # Public name -> module that defines it.  A module is imported when one of its
 # names is first read (PEP 562), so ``import globtop`` loads none of them, and
-# only code that reads a ``fem`` name loads numpy and scipy.
+# only code that reads a ``fem`` name loads numpy.
 _EXPORTS = {
     "errors": (
         "ConfigError", "FitError", "GlobtopError", "InputDomainError", "MeshError",

@@ -21,14 +21,14 @@ from .errors import (
     MeshError,
     StageError,
 )
-from .geometry import REFERENCE_GEOMETRY, from_radius_angle, solve_cap
+from .geometry import REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
-from .screening import ScreeningCriteria, screen
+from .screening import FEM_MAX_ELEMENTS, ScreeningCriteria, screen
 from .shell_model import ShellCase, apex_deflection, profile
 from .units import ATM_PA, atm_to_pa
 
-# fem (numpy and scipy), report and stats are imported by the subcommands
-# that use them, so the closed-form commands start without numpy.
+# fem (numpy), report and stats are imported by the subcommands that use
+# them, so the closed-form commands start without numpy.
 
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
@@ -110,20 +110,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _geometry_from(args) -> object:
-    given_polar = args.radius_um is not None or args.angle_deg is not None
-    given_chord = args.b_um is not None or args.h_um is not None
-    if given_polar and given_chord:
-        raise InputDomainError("give either --b-um/--h-um or --radius-um/--angle-deg, not both")
-    if given_chord:
-        if args.b_um is None or args.h_um is None:
-            raise InputDomainError("--b-um and --h-um must be given together")
-        return solve_cap(args.b_um, args.h_um)
-    if given_polar:
-        if args.radius_um is None or args.angle_deg is None:
-            raise InputDomainError("--radius-um and --angle-deg must be given together")
-        return from_radius_angle(args.radius_um, args.angle_deg)
-    return REFERENCE_GEOMETRY
+# The geometry flags, by the config key each one gives.
+_GEOMETRY_FLAGS = {
+    "base_half_width_um": "--b-um",
+    "rise_um": "--h-um",
+    "radius_um": "--radius-um",
+    "base_angle_deg": "--angle-deg",
+}
+
+
+def _geometry_from(args) -> CapGeometry:
+    given = {
+        key: getattr(args, flag[2:].replace("-", "_")) for key, flag in _GEOMETRY_FLAGS.items()
+    }
+    block = {key: value for key, value in given.items() if value is not None}
+    return cap_from_config(block, _GEOMETRY_FLAGS) if block else REFERENCE_GEOMETRY
 
 
 def _library_from(args):
@@ -266,6 +267,11 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fem(args) -> int:
+    if args.n_elements > FEM_MAX_ELEMENTS:
+        raise InputDomainError(
+            f"--n-elements must be at most {FEM_MAX_ELEMENTS}, past which roundoff"
+            f" swamps the discretization error, got {args.n_elements}"
+        )
     from .fem import converge, mesh_cap, solve_case
 
     geom = _geometry_from(args)
@@ -313,7 +319,7 @@ def _exit_code(exc: GlobtopError) -> int:
         inner = exc.original
         if isinstance(inner, GlobtopError):
             return _exit_code(inner)
-        # An artifact that cannot be written, or a missing scipy, is an
+        # An artifact that cannot be written, or a missing LAPACK, is an
         # input or install problem, as it is outside a stage.
         return 1 if isinstance(inner, (OSError, ImportError)) else 2
     if isinstance(exc, (ConfigError, InputDomainError, MeshError)):
@@ -336,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except GlobtopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    # An output path that cannot be written, or fem without scipy.
+    # An output path that cannot be written, or fem without a LAPACK.
     except (OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,16 +31,20 @@ The global system is symmetric positive definite after boundary conditions
 and has half-bandwidth 5, so it is stored in banded form and solved with a
 banded Cholesky factorization, LAPACK's dpbtrf and dpbtrs called directly
 (the routines behind scipy's cholesky_banded and cho_solve_banded, without
-their per-call wrapping).  They come from scipy's LAPACK extension module,
-loaded from its file: importing the scipy.linalg package would add about
-0.3 s of numpy and scipy modules that this module never uses.  Supports:
-the apex node is held on the axis (Ur = 0, beta = 0 by symmetry); the rim
-is either clamped (Ur = Uz = 0, beta = 0) or pinned (Ur = Uz = 0).  The rim
-reaction is read from one row of the unconstrained system.
+their per-call wrapping).  They are taken through ctypes from the LAPACK
+that numpy's own linalg extension links against, so a FEM process holds
+one BLAS library and loads no scipy module.  Where that LAPACK does not
+export them (numpy on Accelerate or on a system LAPACK, or on Windows),
+they come from scipy's LAPACK extension module, loaded from its file.
+Supports: the apex node is held on the axis (Ur = 0, beta = 0 by
+symmetry); the rim is either clamped (Ur = Uz = 0, beta = 0) or pinned
+(Ur = Uz = 0).  The rim reaction is read from one row of the unconstrained
+system.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -55,6 +59,7 @@ import numpy as np
 from .errors import InputDomainError, MeshError, SolverError
 from .geometry import CapGeometry
 from .materials import Material
+from .screening import FEM_MAX_ELEMENTS
 
 HALF_BANDWIDTH = 5
 # 4-point Gauss-Legendre rule on [-1, 1]: the values of
@@ -68,13 +73,81 @@ _GAUSS_W = np.array(
 _N_TO_PA_UM2 = 1.0e-12  # 1 Pa * um^2 in newtons
 
 
+# Fortran LAPACK with 64-bit integers: every argument by address, and a
+# hidden trailing length for each character argument.
+_INT = ctypes.c_int64
+_INT_P = ctypes.POINTER(_INT)
+
+
+def _numpy_lapack():
+    """dpbtrf and dpbtrs from the LAPACK numpy's linalg extension links, or None.
+
+    A handle opened on the extension's own file resolves the symbols of the
+    libraries it depends on, so no library path is named here.  numpy's
+    wheels bundle an OpenBLAS built for 64-bit integers, whose symbols carry
+    the ``64_`` suffix and, in scipy-openblas builds, a ``scipy_`` prefix;
+    a LAPACK without either pair of names is not used.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        pbtrf = getattr(lib, prefix + "dpbtrf_64_", None)
+        pbtrs = getattr(lib, prefix + "dpbtrs_64_", None)
+        if pbtrf is not None and pbtrs is not None:
+            break
+    else:
+        return None
+    pbtrf.argtypes = (
+        ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, _INT_P, ctypes.c_size_t
+    )
+    pbtrs.argtypes = (
+        ctypes.c_char_p, _INT_P, _INT_P, _INT_P, ctypes.c_void_p, _INT_P,
+        ctypes.c_void_p, _INT_P, _INT_P, ctypes.c_size_t,
+    )
+    pbtrf.restype = pbtrs.restype = None
+
+    # f2py's call shapes.  Every argument is made per call, so threads may
+    # solve at once; ctypes releases the GIL for the call.
+    def dpbtrf(ab: np.ndarray) -> tuple[np.ndarray, int]:
+        factor = np.array(ab, dtype=np.float64, order="F")
+        if factor.ndim != 2 or factor.shape[0] < 1:
+            raise ValueError(f"dpbtrf needs a (kd + 1, n) band, got shape {factor.shape}")
+        kd1, n = factor.shape
+        info = _INT()
+        pbtrf(b"U", _INT(n), _INT(kd1 - 1), factor.ctypes.data, _INT(kd1), info, 1)
+        return factor, info.value
+
+    def dpbtrs(factor: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+        factor = np.asfortranarray(factor, dtype=np.float64)
+        x = np.array(b, dtype=np.float64)
+        if factor.ndim != 2 or factor.shape[0] < 1 or x.shape != factor.shape[1:]:
+            raise ValueError(
+                f"dpbtrs needs a (kd + 1, n) factor and n values, got {factor.shape} and {x.shape}"
+            )
+        kd1, n = factor.shape
+        info = _INT()
+        pbtrs(
+            b"U", _INT(n), _INT(kd1 - 1), _INT(1), factor.ctypes.data, _INT(kd1),
+            x.ctypes.data, _INT(n), info, 1,
+        )
+        return x, info.value
+
+    return dpbtrf, dpbtrs
+
+
 def _load_flapack():
     """scipy's f2py LAPACK extension, loaded from its file.
 
-    ``import scipy.linalg`` runs the package ``__init__``, which also loads
-    ``numpy.f2py``, ``numpy.ma``, ``numpy.random`` and ``numpy.testing``; the
-    extension alone loads in about 5 ms.  It is registered under its own
-    name, so a later ``import scipy.linalg`` in the process reuses it.
+    The second source of dpbtrf and dpbtrs, for a numpy whose LAPACK does
+    not export them.  ``import scipy.linalg`` runs the package ``__init__``,
+    which also loads ``numpy.f2py``, ``numpy.ma``, ``numpy.random`` and
+    ``numpy.testing``; the extension alone loads in about 5 ms.  It is
+    registered under its own name, so a later ``import scipy.linalg`` in the
+    process reuses it.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -91,14 +164,23 @@ def _load_flapack():
                 sys.modules[name] = module
                 return module
     raise ImportError(
-        "globtop.fem needs scipy: its LAPACK extension scipy/linalg/_flapack was not found",
+        "globtop.fem needs LAPACK's dpbtrf and dpbtrs: numpy's LAPACK does not export"
+        " them, and scipy, whose LAPACK extension scipy/linalg/_flapack would provide"
+        " them, was not found",
         name="scipy",
     )
 
 
-# The float64 routines scipy.linalg.get_lapack_funcs returns.
-_FLAPACK = _load_flapack()
-_PBTRF, _PBTRS = _FLAPACK.dpbtrf, _FLAPACK.dpbtrs
+def _load_lapack():
+    """The banded Cholesky routines, from numpy's LAPACK, else from scipy's."""
+    routines = _numpy_lapack()
+    if routines is not None:
+        return routines
+    flapack = _load_flapack()
+    return flapack.dpbtrf, flapack.dpbtrs
+
+
+_PBTRF, _PBTRS = _load_lapack()
 
 BOUNDARY_CONDITIONS = ("clamped", "pinned")
 
@@ -195,10 +277,13 @@ class ShellMesh:
 
 
 def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
-    """Uniform-angle mesh of a spherical cap, apex to rim."""
+    """Uniform-angle mesh of a spherical cap, apex to rim, of 4 to
+    ``FEM_MAX_ELEMENTS`` elements."""
     n = int(n_elements)
     if n < 4:
         raise MeshError(f"n_elements must be at least 4, got {n_elements!r}")
+    if n > FEM_MAX_ELEMENTS:
+        raise MeshError(f"n_elements must be at most {FEM_MAX_ELEMENTS}, got {n_elements!r}")
     a = geometry.radius_um
     alpha = geometry.base_angle_rad
     phi = np.linspace(0.0, alpha, n + 1)
@@ -709,13 +794,21 @@ def converge(
 
     Non-monotone behaviour across levels is reported through the
     ``contraction`` flag rather than raised, since a ladder that has hit
-    roundoff still carries useful information.
+    roundoff still carries useful information.  A ladder whose finest mesh
+    exceeds ``FEM_MAX_ELEMENTS`` is rejected before any mesh is built.
     """
-    if int(n_levels) < 3:
+    n_levels, n_start = int(n_levels), int(n_start)
+    if n_levels < 3:
         raise InputDomainError(f"n_levels must be at least 3, got {n_levels!r}")
-    if int(n_start) < 4:
+    if n_start < 4:
         raise InputDomainError(f"n_start must be at least 4, got {n_start!r}")
-    levels = tuple(int(n_start) * 2**k for k in range(int(n_levels)))
+    # n_start * 2**(n_levels - 1) > FEM_MAX_ELEMENTS, without the power.
+    if n_start > FEM_MAX_ELEMENTS >> (n_levels - 1):
+        raise InputDomainError(
+            f"a ladder of {n_levels} levels from {n_start} elements exceeds the"
+            f" {FEM_MAX_ELEMENTS} elements past which roundoff swamps the discretization error"
+        )
+    levels = tuple(n_start * 2**k for k in range(n_levels))
     apex = []
     for n in levels:
         sol = solve_case(mesh_cap(geometry, n), thickness_um, material, pressure_pa, bc)

@@ -135,30 +135,39 @@ REFERENCE_GEOMETRY = from_radius_angle(3010.0, 23.5)
 base angle, the rounded form of the 1200 x 250 um reference footprint."""
 
 
-def cap_from_config(block: Mapping) -> CapGeometry:
+_FORMS = (
+    (("base_half_width_um", "rise_um"), solve_cap),
+    (("radius_um", "base_angle_deg"), from_radius_angle),
+)
+
+
+def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> CapGeometry:
     """Build a cap from a config mapping.
 
     Exactly one of the two forms must be present:
     {"base_half_width_um": b, "rise_um": h} or
-    {"radius_um": a, "base_angle_deg": alpha}.
+    {"radius_um": a, "base_angle_deg": alpha}.  ``names`` spells the keys in
+    the messages of a malformed block, as the command-line flags that gave
+    them, for example.
     """
     if not isinstance(block, Mapping):
         raise ConfigError(f"geometry block must be a mapping, got {type(block).__name__}")
-    chord = {"base_half_width_um", "rise_um"}
-    polar = {"radius_um", "base_angle_deg"}
-    keys = set(block)
-    extra = keys - chord - polar
+    extra = set(block) - {key for pair, _ in _FORMS for key in pair}
     if extra:
         raise ConfigError(f"geometry block has unknown keys: {sorted(extra)}")
-    if keys == chord:
-        return solve_cap(block["base_half_width_um"], block["rise_um"])
-    if keys == polar:
-        return from_radius_angle(block["radius_um"], block["base_angle_deg"])
-    raise ConfigError(
-        "geometry block must contain exactly one of "
-        "{base_half_width_um, rise_um} or {radius_um, base_angle_deg}, "
-        f"got keys {sorted(keys)}"
-    )
+    names = names or {}
+    spelled = ["/".join(names.get(key, key) for key in pair) for pair, _ in _FORMS]
+    given = [(pair, build) for pair, build in _FORMS if any(key in block for key in pair)]
+    if len(given) != 1:
+        raise ConfigError(
+            f"geometry: give either {spelled[0]} or {spelled[1]}"
+            + (", not both" if given else f", got keys {sorted(block)}")
+        )
+    [(pair, build)] = given
+    if not all(key in block for key in pair):
+        first, second = (names.get(key, key) for key in pair)
+        raise ConfigError(f"geometry: {first} and {second} must be given together")
+    return build(*(block[key] for key in pair))
 
 
 def thinness_ratio(geometry: CapGeometry, thickness_um: float) -> float:

@@ -35,6 +35,7 @@ from .errors import ConfigError, InputDomainError, StageError, real
 from .geometry import CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library, load_library_file
 from .screening import (
+    FEM_MAX_ELEMENTS,
     ScreeningCriteria,
     SOURCES,
     Verdict,
@@ -110,9 +111,11 @@ def _number(path: str, raw, finite: bool = True, positive: bool = False) -> floa
     return value
 
 
-def _integer(minimum: int, path: str, raw) -> int:
+def _integer(minimum: int, path: str, raw, maximum: int | None = None) -> int:
     if not _number(path, raw).is_integer() or raw < minimum:
         raise ConfigError(f"{path} must be an integer of at least {minimum}, got {raw!r}")
+    if maximum is not None and raw > maximum:
+        raise ConfigError(f"{path} must be an integer of at most {maximum}, got {raw!r}")
     return int(raw)
 
 
@@ -175,7 +178,10 @@ _CRITERIA = (
     ("marginal_band", _number, ScreeningCriteria.marginal_band),
 )
 _EXTERNAL = (("simulated_um", _column, None), ("calculated_um", _column, None))
-_FEM = (("n_elements", partial(_integer, 4), 256), ("bc", _bc, "clamped"))
+_FEM = (
+    ("n_elements", partial(_integer, 4, maximum=FEM_MAX_ELEMENTS), 256),
+    ("bc", _bc, "clamped"),
+)
 
 
 def _study_table(base_dir: Path | None) -> tuple:

@@ -158,11 +158,20 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
     return "fail"
 
 
+# The finest FEM mesh, in elements, beyond which roundoff outweighs the
+# discretization error.  Over 200 inputs drawn from the range of the
+# benchmark's fem_ladder workload, every 64-512 ladder contracted, with
+# observed orders 1.65-2.50 where the 32-256 ladders give 1.98-2.01; 45 of
+# the 128-1024 ladders did not contract.  Defined here, not in ``fem``, so
+# that the config schema checks it without loading numpy.
+FEM_MAX_ELEMENTS = 512
+
+
 def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
     """``fem.mesh_cap``, with ``fem`` imported on first use.
 
-    ``fem`` loads numpy and scipy's LAPACK extension, a fifth of a second of
-    a cold CLI start that the closed-form commands never need.
+    ``fem`` loads numpy, about a tenth of a second of a cold CLI start that
+    the closed-form commands never need.
     """
     from . import fem
 

@@ -17,6 +17,16 @@ PRINTED_ERROR_PCT = (23.79, -37.25, -7.42, 20.07, -37.38, 99.78, 9.44, 9.44, 19.
 #          inputs within +-0.005 um, which holds -9.44 but not +9.44.
 PRINTED_SIGN_ERRATA = (7, 8)
 
+# Script prelude that makes every symbol lookup through a ctypes.CDLL fail,
+# as on a numpy whose LAPACK does not export the banded Cholesky routines.
+HIDE_NUMPY_LAPACK = """
+import ctypes
+class _NoSymbols(ctypes.CDLL):
+    def __getattr__(self, name):
+        raise AttributeError(name)
+ctypes.CDLL = _NoSymbols
+"""
+
 # Realized plan rows in run order: material, thickness um, pressure atm.
 PLAN_ROWS = (
     ("Polyimide", 250.0, 100.0),

@@ -13,7 +13,7 @@ import globtop as gt
 from globtop.cli import _exit_code, main
 from globtop.errors import ConfigError, SolverError, StageError
 
-from .conftest import SIMULATED_UM
+from .conftest import HIDE_NUMPY_LAPACK, SIMULATED_UM
 
 
 def run_cli(capsys, *argv):
@@ -130,31 +130,75 @@ def _loaded_after(runs):
 
 
 def test_fem_loads_lapack_without_the_scipy_linalg_package():
-    # fem needs numpy and scipy's LAPACK extension, not the scipy.linalg
-    # package, whose __init__ also loads numpy.f2py, numpy.ma and others.
+    # fem takes dpbtrf and dpbtrs from the LAPACK numpy already links, so
+    # it loads no scipy module at all, let alone the scipy.linalg package.
     loaded = _loaded_after("[fem, fem + ['--converge']]")
-    assert {"numpy", "scipy.linalg._flapack"} <= loaded
-    assert {"scipy.linalg", "scipy.optimize", "numpy.f2py"}.isdisjoint(loaded)
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert "numpy.f2py" not in loaded
 
 
 def test_fem_study_loads_neither_scipy_optimize_nor_scipy_linalg():
     # The study's thickness root find is screening's own Brent method.
     loaded = _loaded_after("[study]")
-    assert {"numpy", "scipy.linalg._flapack"} <= loaded
-    assert {"scipy.linalg", "scipy.optimize", "numpy.f2py"}.isdisjoint(loaded)
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert "numpy.f2py" not in loaded
+
+
+# Runs the fem commands and the FEM study, and prints their stdout and the
+# study's files, the output directory left out of the stdout.
+_FEM_OUTPUTS = """
+import contextlib, hashlib, io, json
+import globtop.fem
+from globtop import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    codes = [cli.main(argv) for argv in (fem, fem + ["--converge"], fem + ["--bc", "pinned"], study)]
+assert set(codes) == {0}, codes
+files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (d / "out").iterdir()}
+print(json.dumps({
+    "lapack": type(globtop.fem._PBTRF).__name__,
+    "stdout": buf.getvalue().replace(str(d), "DIR"),
+    "files": files,
+}))
+"""
+
+
+def _fem_outputs(prelude=""):
+    proc = _run_python(f"{_FEM_ARGV}\n{prelude}\n{_FEM_OUTPUTS}")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_fem_output_does_not_depend_on_the_lapack_source():
+    # numpy's LAPACK, bound as Python functions, by default and with scipy
+    # hidden; with numpy's symbols hidden, scipy's f2py extension.  All three print the same bytes
+    # and write the same files.
+    default = _fem_outputs()
+    without_scipy = _fem_outputs("sys.modules['scipy'] = None")
+    fallback = _fem_outputs(HIDE_NUMPY_LAPACK)
+    assert default["lapack"] == without_scipy["lapack"] == "function"
+    assert fallback["lapack"] == "fortran"
+    assert len(default["files"]) == 21
+    assert "apex deflection" in default["stdout"]
+    assert "extrapolated apex" in default["stdout"]
+    assert without_scipy == default
+    assert dict(fallback, lapack="function") == default
 
 
 @pytest.mark.parametrize("command", ["fem", "study"])
-def test_without_scipy_fem_is_an_error_line(command):
+def test_without_either_lapack_fem_is_an_error_line(command):
     proc = _run_python(
-        f"{_FEM_ARGV}\nsys.modules['scipy'] = None\nfrom globtop import cli\n"
-        f"raise SystemExit(cli.main({command}))"
+        f"{_FEM_ARGV}\n{HIDE_NUMPY_LAPACK}\nsys.modules['scipy'] = None\n"
+        f"from globtop import cli\nraise SystemExit(cli.main({command}))"
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
-    assert "needs scipy" in proc.stderr
+    assert "numpy's LAPACK does not export" in proc.stderr
+    assert "scipy" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -215,6 +259,20 @@ class TestGeometry:
         code, _, err = run_cli(capsys, "geometry", "--b-um", "1200")
         assert code == 1
         assert "together" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--angle-deg", "20"], "--radius-um and --angle-deg must be given together"),
+            (["--h-um", "250", "--angle-deg", "20"], "give either --b-um/--h-um or"),
+        ],
+    )
+    def test_form_errors_name_the_flags(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "fem", "--material", "Polyimide", "--thickness-um",
+                               "150", "--pressure-atm", "80", *argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert message in err
 
     def test_impossible_cap(self, capsys):
         code, _, err = run_cli(capsys, "geometry", "--b-um", "100", "--h-um", "500")
@@ -487,6 +545,26 @@ class TestFem:
         assert err.splitlines() == [
             f"error: load overflows at pressure 1.01325e+07 Pa and radius {float(radius):g} um:"
             " the inputs are out of range"
+        ]
+
+    @pytest.mark.parametrize("extra", [(), ("--converge",)], ids=["solve", "converge"])
+    def test_more_elements_than_the_ceiling(self, capsys, monkeypatch, extra):
+        # Rejected before a mesh is built.
+        monkeypatch.setattr("globtop.fem.mesh_cap", None)
+        code, out, err = run_cli(
+            capsys,
+            "fem",
+            "--material", "Carbon epoxy resin",
+            "--thickness-um", "150",
+            "--pressure-atm", "100",
+            "--n-elements", "2048",
+            *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: --n-elements must be at most 512, past which roundoff swamps the"
+            " discretization error, got 2048"
         ]
 
     def test_bad_support_flag(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import globtop as gt
 from globtop import fem
 from globtop.errors import InputDomainError, MeshError, SolverError
 
+from .conftest import HIDE_NUMPY_LAPACK
 from .oracles import mp_fem_apex
 
 # Frozen apex deflections for the stiffest material at 150 um / 100 atm on
@@ -120,6 +123,12 @@ class TestMeshCap:
         # Chord length of a uniformly subdivided arc approaches a*alpha.
         arc = reference_cap.radius_um * reference_cap.base_angle_rad
         assert s[-1] == pytest.approx(arc, rel=1e-3)
+
+    def test_too_many_elements(self, reference_cap, monkeypatch):
+        # Rejected before numpy builds a node array.
+        monkeypatch.setattr(fem.np, "linspace", None)
+        with pytest.raises(MeshError, match="at most 512"):
+            fem.mesh_cap(reference_cap, fem.FEM_MAX_ELEMENTS + 1)
 
     def test_too_few_elements(self, reference_cap):
         with pytest.raises(MeshError):
@@ -370,13 +379,25 @@ class TestStiffnessParts:
             assert np.array_equal(getattr(memoized, name), getattr(fresh, name))
 
     def test_assembly_does_not_depend_on_the_blas_kernel(self):
+        # The factor and the solve do depend on the kernel, but under each
+        # kernel numpy's LAPACK and scipy's extension agree to the bit.
         script = (
-            "import hashlib, globtop as gt\n"
+            "import hashlib, numpy as np, globtop as gt\n"
             "from globtop import fem\n"
+            "from scipy.linalg import get_lapack_funcs\n"
             "mesh = fem.mesh_cap(gt.REFERENCE_GEOMETRY, 256)\n"
             "cer = gt.default_library().get('Carbon epoxy resin')\n"
             "ab, f = fem.assemble_system(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
             "print(hashlib.sha256(ab.tobytes() + f.tobytes()).hexdigest())\n"
+            "pbtrf, pbtrs = get_lapack_funcs(('pbtrf', 'pbtrs'))\n"
+            "for bc in fem.BOUNDARY_CONDITIONS:\n"
+            "    ab, f = fem.assemble_system(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
+            "    fem._apply_bc(ab, f, fem.fixed_dofs(mesh.n_nodes, bc))\n"
+            "    sol = fem.solve_case(mesh, 150.0, cer, gt.atm_to_pa(100.0), bc)\n"
+            "    factor, _ = pbtrf(ab)\n"
+            "    x, _ = pbtrs(factor, f)\n"
+            "    print(pbtrf is not fem._PBTRF, np.array_equal(factor, sol.factor),\n"
+            "          np.array_equal(x[1::3], sol.u_z_um))\n"
         )
         src = str(Path(gt.__file__).resolve().parents[1])
         procs = []
@@ -390,10 +411,13 @@ class TestStiffnessParts:
                     [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
                 )
             )
-        digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        outputs = [proc.communicate(timeout=120)[0].splitlines() for proc in procs]
         assert all(proc.returncode == 0 for proc in procs)
+        digests = [lines[0] for lines in outputs]
         assert len(digests[0]) == 64
         assert digests == [digests[0]] * 3
+        for lines in outputs:
+            assert lines[1:] == ["True True True"] * 2
 
     def test_building_the_parts_keeps_its_temporaries_small(self, reference_cap):
         # Large temporaries may be mapped and page-faulted afresh on every
@@ -454,6 +478,14 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def numpy_lapack():
+    """fem's binding of numpy's dpbtrf and dpbtrs; skips where numpy has none."""
+    routines = fem._numpy_lapack()
+    if routines is None:
+        pytest.skip("numpy's LAPACK does not export dpbtrf and dpbtrs")
+    return routines
+
+
 class TestLeanSolve:
     """solve_case calls LAPACK itself and computes only the rim's reaction
     row; its results keep the bits of scipy's banded Cholesky routines and of
@@ -488,27 +520,41 @@ class TestLeanSolve:
                 got = fem._row_dot(fem._band_row(ab0, k), d)
                 assert abs(got - float(terms.sum())) <= 1e-13 * float(np.abs(terms).sum())
 
-    def test_scipy_linalg_imported_later_reuses_the_same_lapack(self):
-        # fem loads scipy's LAPACK extension without the scipy.linalg
-        # package; importing the package afterwards must find that module
-        # and give routines that reproduce fem's factor and solve exactly.
-        script = (
-            "import numpy as np, globtop as gt\n"
+    @pytest.mark.parametrize("bc", fem.BOUNDARY_CONDITIONS)
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_numpy_lapack_matches_scipy_flapack_bit_for_bit(self, reference_cap, cer, n, bc):
+        from scipy.linalg import get_lapack_funcs
+
+        numpy_pbtrf, numpy_pbtrs = numpy_lapack()
+        pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+        mesh = fem.mesh_cap(reference_cap, n)
+        ab, f = fem.assemble_system(mesh, 150.0, cer, gt.atm_to_pa(100.0))
+        fem._apply_bc(ab, f, fem.fixed_dofs(mesh.n_nodes, bc))
+        factor, info = numpy_pbtrf(ab)
+        expected, expected_info = pbtrf(ab)
+        assert info == expected_info == 0
+        assert np.array_equal(factor, expected)
+        assert factor.flags.f_contiguous
+        x, info = numpy_pbtrs(factor, f)
+        expected, expected_info = pbtrs(expected, f)
+        assert info == expected_info == 0
+        assert np.array_equal(x, expected)
+
+    def test_scipy_linalg_imported_later_reuses_the_same_lapack(self, clamped_256):
+        # Where numpy's LAPACK does not export dpbtrf and dpbtrs, fem loads
+        # scipy's LAPACK extension without the scipy.linalg package;
+        # importing the package afterwards must find that module, and the
+        # solve must keep the bits of numpy's LAPACK.
+        script = HIDE_NUMPY_LAPACK + (
+            "import hashlib, numpy as np, globtop as gt\n"
             "from globtop import fem\n"
             "from scipy.linalg import get_lapack_funcs\n"
             "mesh = fem.mesh_cap(gt.REFERENCE_GEOMETRY, 256)\n"
             "cer = gt.default_library().get('Carbon epoxy resin')\n"
-            "p = gt.atm_to_pa(100.0)\n"
-            "sol = fem.solve_case(mesh, 150.0, cer, p)\n"
-            "ab, f = fem.assemble_system(mesh, 150.0, cer, p)\n"
-            "fem._apply_bc(ab, f, fem.fixed_dofs(mesh.n_nodes, 'clamped'))\n"
+            "sol = fem.solve_case(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
             "pbtrf, pbtrs = get_lapack_funcs(('pbtrf', 'pbtrs'))\n"
-            "factor, info = pbtrf(ab)\n"
-            "d, info2 = pbtrs(factor, f)\n"
-            "print(pbtrf is fem._PBTRF, pbtrs is fem._PBTRS, info, info2,\n"
-            "      np.array_equal(factor, sol.factor), np.array_equal(d[0::3], sol.u_r_um),\n"
-            "      np.array_equal(d[1::3], sol.u_z_um),\n"
-            "      np.array_equal(d[2::3], sol.rotation_rad))\n"
+            "print(pbtrf is fem._PBTRF, pbtrs is fem._PBTRS)\n"
+            "print(hashlib.sha256(sol.factor.tobytes() + sol.u_z_um.tobytes()).hexdigest())\n"
         )
         src = str(Path(gt.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -516,10 +562,13 @@ class TestLeanSolve:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "True", "0", "0", "True", "True", "True", "True"]
+        same, digest = proc.stdout.splitlines()
+        assert same == "True True"
+        expected = clamped_256.factor.tobytes() + clamped_256.u_z_um.tobytes()
+        assert digest == hashlib.sha256(expected).hexdigest()
 
-    def test_without_scipy_the_import_error_names_it(self):
-        script = (
+    def test_without_either_lapack_the_import_error_names_both(self):
+        script = HIDE_NUMPY_LAPACK + (
             "import sys\n"
             "sys.modules['scipy'] = None  # as if scipy were not installed\n"
             "try:\n"
@@ -536,7 +585,38 @@ class TestLeanSolve:
         assert proc.returncode == 0, proc.stderr
         name, message = proc.stdout.splitlines()
         assert name == "scipy"
-        assert "needs scipy" in message
+        assert "numpy's LAPACK does not export" in message
+        assert "scipy" in message.split("numpy's LAPACK")[1]
+
+    def test_threads_solve_at_once(self, cap_mesh, cer, clamped_256):
+        # More threads than cores, switching often: a LAPACK argument shared
+        # between calls would mix their results.
+        p = gt.atm_to_pa(100.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [
+                    pool.submit(fem.solve_case, cap_mesh, 150.0, cer, p, bc)
+                    for bc in fem.BOUNDARY_CONDITIONS * 8
+                ]
+                solutions = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        pinned = fem.solve_case(cap_mesh, 150.0, cer, p, "pinned")
+        for sol in solutions:
+            expected = clamped_256 if sol.bc == "clamped" else pinned
+            assert np.array_equal(sol.factor, expected.factor)
+            assert np.array_equal(sol.u_z_um, expected.u_z_um)
+
+    def test_a_band_and_a_right_side_of_other_sizes_are_rejected(self):
+        # LAPACK reads n values from b: a shorter b must not reach it.
+        pbtrf, pbtrs = numpy_lapack()
+        factor, info = pbtrf(np.array([[0.0, 2.0, 1.0], [4.0, 5.0, 2.0]]))
+        with pytest.raises(ValueError):
+            pbtrs(factor, np.ones(2))
+        with pytest.raises(ValueError):
+            pbtrf(np.ones(3))
 
     def test_an_indefinite_band_is_a_solver_error(self):
         # K = [[1, 2, 0], [2, 1, 0], [0, 0, 1]] in upper banded form.
@@ -591,6 +671,21 @@ class TestConvergenceLadder:
             "final_relative_change",
             "contraction",
         }
+
+    def test_a_ladder_may_end_at_the_element_ceiling(self, reference_cap, cer):
+        report = gt.converge(reference_cap, 150.0, cer, gt.atm_to_pa(100.0), n_start=64)
+        assert report.levels == (64, 128, 256, fem.FEM_MAX_ELEMENTS)
+        assert report.contraction
+
+    @pytest.mark.parametrize(
+        "n_levels, n_start", [(4, 65), (5, 64), (4, 256), (10**9, 4)]
+    )
+    def test_a_ladder_past_the_element_ceiling_is_rejected_unbuilt(
+        self, reference_cap, cer, monkeypatch, n_levels, n_start
+    ):
+        monkeypatch.setattr(fem, "mesh_cap", None)
+        with pytest.raises(InputDomainError, match="exceeds the 512 elements"):
+            gt.converge(reference_cap, 150.0, cer, 1.0e6, n_levels=n_levels, n_start=n_start)
 
     def test_ladder_argument_validation(self, reference_cap, cer):
         with pytest.raises(InputDomainError):

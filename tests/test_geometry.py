@@ -142,6 +142,13 @@ class TestConfigBlock:
         with pytest.raises(ConfigError):
             gt.cap_from_config(block)
 
+    def test_messages_spell_the_keys_as_named(self):
+        names = {"radius_um": "--radius-um", "base_angle_deg": "--angle-deg"}
+        with pytest.raises(ConfigError, match="^geometry: --radius-um and --angle-deg must"):
+            gt.cap_from_config({"radius_um": 3010}, names)
+        with pytest.raises(ConfigError, match="^geometry: radius_um and base_angle_deg must"):
+            gt.cap_from_config({"radius_um": 3010})
+
     def test_rejects_non_mapping(self):
         with pytest.raises(ConfigError):
             gt.cap_from_config([1200, 250])

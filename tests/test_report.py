@@ -210,6 +210,7 @@ class TestParseConfig:
             ({"materials": _library_doc(1.0, 2.0)}, "exactly 3 materials"),
             ({"materials": _library_doc("3", 2.0, 3.0)}, "youngs_modulus_gpa"),
             ({"materials": _library_doc(True, 2.0, 3.0)}, "youngs_modulus_gpa"),
+            ({"fem": {"n_elements": 513}}, "fem.n_elements must be an integer of at most 512"),
         ],
     )
     def test_rejections(self, doc, hint):

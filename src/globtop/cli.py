@@ -24,7 +24,7 @@ from .errors import (
 from .geometry import REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
 from .screening import FEM_MAX_ELEMENTS, ScreeningCriteria, screen
-from .shell_model import ShellCase, apex_deflection, profile
+from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_deflection, profile
 from .units import ATM_PA, atm_to_pa
 
 # fem (numpy), report and stats are imported by the subcommands that use
@@ -156,6 +156,10 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_deflect(args) -> int:
+    if args.profile_points > MAX_PROFILE_POINTS:
+        raise InputDomainError(
+            f"--profile-points must be at most {MAX_PROFILE_POINTS}, got {args.profile_points}"
+        )
     geom = _geometry_from(args)
     material = _material_from(args)
     case = ShellCase(

@@ -52,7 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -112,13 +112,14 @@ def _numpy_lapack():
 
     # f2py's call shapes.  Every argument is made per call, so threads may
     # solve at once; ctypes releases the GIL for the call.
-    def dpbtrf(ab: np.ndarray) -> tuple[np.ndarray, int]:
+    def dpbtrf(ab: np.ndarray, lower: int = 0) -> tuple[np.ndarray, int]:
         factor = np.array(ab, dtype=np.float64, order="F")
         if factor.ndim != 2 or factor.shape[0] < 1:
             raise ValueError(f"dpbtrf needs a (kd + 1, n) band, got shape {factor.shape}")
         kd1, n = factor.shape
         info = _INT()
-        pbtrf(b"U", _INT(n), _INT(kd1 - 1), factor.ctypes.data, _INT(kd1), info, 1)
+        uplo = b"L" if lower else b"U"
+        pbtrf(uplo, _INT(n), _INT(kd1 - 1), factor.ctypes.data, _INT(kd1), info, 1)
         return factor, info.value
 
     def dpbtrs(factor: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -309,30 +310,34 @@ _PAIRS = tuple(np.array(v) for v in zip(*[(i, j) for j in range(6) for i in rang
 _BAND_ROWS = HALF_BANDWIDTH + _PAIRS[0] - _PAIRS[1]
 
 
-def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _element_parts(meshes: Sequence[ShellMesh], nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Global-frame element stiffness parts and load, free of E, t and P.
 
     Returns the membrane and bending parts stacked as (2, 21, n_el), the
     entries ``_PAIRS`` of each element's upper triangle per unit membrane
     rigidity E t / (1 - nu^2) and unit bending rigidity
     E t^3 / (12 (1 - nu^2)), and the element load of a unit pressure,
-    (6, n_el).  Every sum is elementwise in a fixed order, so the result
-    does not depend on the BLAS build.
+    (6, n_el).  The elements are those of every mesh, one mesh after the
+    other, and no element joins one mesh's rim to the next mesh's apex.
+    Every sum is elementwise in a fixed order, so the result does not
+    depend on the BLAS build, and the parts of a mesh are the same bits
+    whether it is built alone or with others.
 
     The parts are built one after the other into one b, each part's strain
     rows only while b is filled, and each column of D b where it is used.
-    At 256 elements no temporary then reaches 128 kB, the size from which
-    malloc may map fresh pages for a request and unmap them when it is
-    freed, and all of them together peak near 320 kB.  malloc also returns
-    the top of its heap to the system once more than 128 kB there is free,
-    after which the next build faults its peak back in, so a larger peak
-    costs a ``converge`` more page faults.
+    For one mesh of 256 elements no temporary then reaches 128 kB, the size
+    from which malloc may map fresh pages for a request and unmap them when
+    it is freed, and all of them together peak near 320 kB.  malloc also
+    returns the top of its heap to the system once more than 128 kB there is
+    free, after which the next build faults its peak back in, so a larger
+    peak costs a ``converge`` more page faults.  The temporaries grow with
+    the element count: one pass over the 480 elements of the 32-256 ladder
+    traces a peak of 750 kB, 566 kB of it temporaries, and the traced peak
+    of that ``converge`` went from 515 kB, with a pass per mesh, to 770 kB.
     """
-    r = mesh.r_um
-    z = mesh.z_um
-    r1 = r[:-1]
-    dr = r[1:] - r1
-    dz = z[1:] - z[:-1]
+    r1 = np.concatenate([mesh.r_um[:-1] for mesh in meshes])
+    dr = np.concatenate([np.diff(mesh.r_um) for mesh in meshes])
+    dz = np.concatenate([np.diff(mesh.z_um) for mesh in meshes])
     length = np.hypot(dr, dz)
     tr = dr / length
     tz = dz / length
@@ -356,7 +361,7 @@ def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
     t_over_r = tr / r_g
 
     # b is (strain row, global dof, gauss, element), refilled per part.
-    b = np.empty((2, 6, 4, mesh.n_elements))
+    b = np.empty((2, 6, 4, r1.size))
 
     def fill_b(part: int) -> None:
         """Build the part's strain rows over the local nodal dofs
@@ -393,7 +398,7 @@ def _element_parts(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray]:
                 b[row, base + 1] = u * tz + w * nz
                 b[row, base + 2] = beta
 
-    k = np.empty((2, len(_PAIRS[0]), mesh.n_elements))
+    k = np.empty((2, len(_PAIRS[0]), r1.size))
     for part in range(2):
         fill_b(part)
         for j in range(6):
@@ -418,38 +423,50 @@ def _radius(mesh: ShellMesh) -> float:
     return mesh.radius_um if mesh.radius_um is not None else float(mesh.r_um[-1])
 
 
-def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Banded membrane and bending stiffness per unit rigidity, and the load
-    of a unit pressure, memoized on the mesh per Poisson ratio.
+def _build_unit_systems(meshes: Sequence[ShellMesh], nu: float) -> None:
+    """Build the banded unit parts of each mesh for ``nu`` from one element
+    pass over all of them, and keep them on the mesh.
 
     The arrays are read-only: they are shared by every solve on the mesh.
-    A mesh so large that the parts overflow is rejected with MeshError.
+    A mesh so large that its parts overflow is rejected with MeshError.
     """
-    parts = mesh._unit_parts.get(nu)
-    if parts is not None:
-        return parts
+    systems = []
     with np.errstate(over="ignore", invalid="ignore"):
-        k_el, f_el = _element_parts(mesh, nu)
-        band = np.zeros((2, HALF_BANDWIDTH + 1, mesh.n_dof))
-        f1 = np.zeros(mesh.n_dof)
-        # Entry (i, j) of element e lands in column 3 e + j, so one entry of
-        # all elements is a strided slice.  A slot gets at most two
-        # contributions, from the two elements at a node, and their sum does
-        # not depend on the order of the additions.
-        stop = 3 * mesh.n_elements
-        for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
-            band[:, row, j : j + stop : 3] += k_el[:, m]
-        for i in range(6):
-            f1[i : i + stop : 3] += f_el[i]
-    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
-        raise MeshError(
-            f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
-        )
-    parts = (band[0], band[1], f1)
-    for a in parts:
-        a.flags.writeable = False
-    mesh._unit_parts[nu] = parts
-    return parts
+        k_el, f_el = _element_parts(meshes, nu)
+        first = 0
+        for mesh in meshes:
+            k = k_el[..., first : first + mesh.n_elements]
+            f = f_el[:, first : first + mesh.n_elements]
+            first += mesh.n_elements
+            band = np.zeros((2, HALF_BANDWIDTH + 1, mesh.n_dof))
+            f1 = np.zeros(mesh.n_dof)
+            # Entry (i, j) of element e lands in column 3 e + j, so one entry
+            # of all elements is a strided slice.  A slot gets at most two
+            # contributions, from the two elements at a node, and their sum
+            # does not depend on the order of the additions.
+            stop = 3 * mesh.n_elements
+            for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
+                band[:, row, j : j + stop : 3] += k[:, m]
+            for i in range(6):
+                f1[i : i + stop : 3] += f[i]
+            systems.append((band, f1))
+    for mesh, (band, f1) in zip(meshes, systems):
+        if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
+            raise MeshError(
+                f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
+            )
+        parts = (band[0], band[1], f1)
+        for a in parts:
+            a.flags.writeable = False
+        mesh._unit_parts[nu] = parts
+
+
+def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded membrane and bending stiffness per unit rigidity, and the load
+    of a unit pressure, memoized on the mesh per Poisson ratio."""
+    if nu not in mesh._unit_parts:
+        _build_unit_systems((mesh,), nu)
+    return mesh._unit_parts[nu]
 
 
 def assemble_system(
@@ -534,14 +551,32 @@ def _row_dot(terms: list[tuple[float, int]], x: np.ndarray) -> float:
 
 
 def cholesky_banded(ab: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor of ``ab`` (LAPACK dpbtrf); ``ab`` is kept."""
-    factor, info = _PBTRF(ab)
+    """Upper banded Cholesky factor of ``ab`` (LAPACK dpbtrf); ``ab`` is kept.
+
+    LAPACK factors the band in its lower layout, ab_lower[d, j] =
+    ab[hb - d, j + d]: its unblocked kernel then scales and updates
+    contiguous columns, where the upper layout's are strided, which halves
+    the call with OpenBLAS.  The lower factor L is U^T entry for entry, since
+    both forms make the same products, so the upper factor is read back
+    from it; the unused corner above the first columns keeps ``ab``'s
+    values, as an upper dpbtrf leaves them.  The back-solve keeps the upper
+    factor, since a lower one moves its solution in the last digits.
+    """
+    hb = ab.shape[0] - 1
+    n = ab.shape[1]
+    lower = np.zeros(ab.shape, order="F")
+    for d in range(hb + 1):
+        lower[d, : n - d] = ab[hb - d, d:]
+    lower, info = _PBTRF(lower, lower=1)
     if info > 0:
         raise SolverError(
             f"stiffness factorization failed: leading minor {info} is not positive definite"
         )
     if info < 0:
         raise SolverError(f"stiffness factorization failed: dpbtrf info {info}")
+    factor = np.array(ab, order="F")
+    for d in range(hb + 1):
+        factor[hb - d, d:] = lower[d, : n - d]
     return factor
 
 
@@ -795,7 +830,11 @@ def converge(
     Non-monotone behaviour across levels is reported through the
     ``contraction`` flag rather than raised, since a ladder that has hit
     roundoff still carries useful information.  A ladder whose finest mesh
-    exceeds ``FEM_MAX_ELEMENTS`` is rejected before any mesh is built.
+    exceeds ``FEM_MAX_ELEMENTS``, or a bad load case, is rejected before any
+    mesh is built.  The stiffness parts of all the ladder's meshes are
+    built in one element pass: most of a pass's cost is fixed per call, and
+    one pass over the 32-256 ladder takes less than half the time of a pass
+    per mesh.
     """
     n_levels, n_start = int(n_levels), int(n_start)
     if n_levels < 3:
@@ -809,10 +848,13 @@ def converge(
             f" {FEM_MAX_ELEMENTS} elements past which roundoff swamps the discretization error"
         )
     levels = tuple(n_start * 2**k for k in range(n_levels))
-    apex = []
-    for n in levels:
-        sol = solve_case(mesh_cap(geometry, n), thickness_um, material, pressure_pa, bc)
-        apex.append(sol.apex_deflection_um)
+    _check_solve_args(thickness_um, pressure_pa, bc)
+    meshes = [mesh_cap(geometry, n) for n in levels]
+    _build_unit_systems(meshes, material.poisson_ratio)
+    apex = [
+        solve_case(mesh, thickness_um, material, pressure_pa, bc).apex_deflection_um
+        for mesh in meshes
+    ]
     diffs = tuple(b - a for a, b in zip(apex, apex[1:]))
     orders = []
     for d_prev, d_next in zip(diffs, diffs[1:]):

@@ -44,7 +44,7 @@ from .screening import (
     solve_case,
     thickness_profile,
 )
-from .shell_model import apex_deflection
+from .shell_model import MAX_PROFILE_POINTS, apex_deflection
 from .stats import (
     AnovaTable,
     EffectTest,
@@ -196,7 +196,7 @@ def _study_table(base_dir: Path | None) -> tuple:
         ("external", lambda path, raw: _block(_EXTERNAL, raw, path), {}),
         ("fem", lambda path, raw: _block(_FEM, raw, path), {}),
         ("atm_pa", partial(_number, positive=True), ATM_PA),
-        ("profile_points", partial(_integer, 2), 101),
+        ("profile_points", partial(_integer, 2, maximum=MAX_PROFILE_POINTS), 101),
     )
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, InputDomainError, SolverError, real
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
-from .shell_model import ShellCase, apex_coefficient, apex_deflection
+from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_coefficient, apex_deflection
 from .units import ATM_PA, atm_to_pa
 
 if TYPE_CHECKING:
@@ -422,6 +422,8 @@ def thickness_profile(
     n = int(n_points)
     if n < 2:
         raise InputDomainError(f"n_points must be at least 2, got {n_points!r}")
+    if n > MAX_PROFILE_POINTS:
+        raise InputDomainError(f"n_points must be at most {MAX_PROFILE_POINTS}, got {n_points!r}")
     p_atm = criteria.max_pressure_atm if pressure_atm is None else float(pressure_atm)
     p_pa = atm_to_pa(p_atm, atm_pa)
     lo, hi = criteria.thickness_range_um

@@ -43,6 +43,11 @@ from .geometry import CapGeometry, thinness_ratio
 from .materials import Material
 
 _PHI_SLACK = 1e-12
+# The most points a deflection or thickness profile samples, from the study
+# config, ``deflect --profile-points`` or the library.  Profiles are held in
+# tuples and written as text, so a count without a bound allocates until
+# MemoryError; 10,001 points is finer than any plot or table needs.
+MAX_PROFILE_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,10 @@ def profile(case: ShellCase, n_samples: int) -> DeflectionProfile:
     n = int(n_samples)
     if n < 2:
         raise InputDomainError(f"n_samples must be at least 2, got {n_samples!r}")
+    if n > MAX_PROFILE_POINTS:
+        raise InputDomainError(
+            f"n_samples must be at most {MAX_PROFILE_POINTS}, got {n_samples!r}"
+        )
     alpha = case.geometry.base_angle_rad
     phis = tuple(alpha * i / (n - 1) for i in range(n))
     vs = tuple(meridional_v(case, p) for p in phis)

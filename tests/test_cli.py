@@ -334,6 +334,21 @@ class TestDeflect:
         assert code == 1
         assert "--out" in err
 
+    def test_more_profile_points_than_the_bound(self, capsys, tmp_path):
+        out_file = tmp_path / "profile.csv"
+        code, _, err = run_cli(
+            capsys,
+            "deflect",
+            "--material", "Parylene C",
+            "--thickness-um", "200",
+            "--pressure-atm", "100",
+            "--profile-points", "10002",
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err == "error: --profile-points must be at most 10001, got 10002\n"
+        assert not out_file.exists()
+
     def test_material_required(self, capsys):
         code, _, err = run_cli(
             capsys, "deflect", "--thickness-um", "200", "--pressure-atm", "100"

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import globtop as gt
 from globtop import fem
@@ -429,10 +431,10 @@ class TestStiffnessParts:
         # b, with each part's strain rows and each column's products freed
         # before the next are built, 320 kB.
         mesh = fem.mesh_cap(reference_cap, 256)
-        fem._element_parts(mesh, 0.4)
+        fem._element_parts((mesh,), 0.4)
         tracemalloc.start()
         try:
-            k, f = fem._element_parts(mesh, 0.4)
+            k, f = fem._element_parts((mesh,), 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,6 +537,13 @@ class TestLeanSolve:
         assert info == expected_info == 0
         assert np.array_equal(factor, expected)
         assert factor.flags.f_contiguous
+        lower = np.zeros_like(ab)
+        for d in range(ab.shape[0]):
+            lower[d, : ab.shape[1] - d] = ab[-1 - d, d:]
+        lower_factor, info = numpy_pbtrf(lower, lower=1)
+        lower_expected, expected_info = pbtrf(lower, lower=1)
+        assert info == expected_info == 0
+        assert np.array_equal(lower_factor, lower_expected)
         x, info = numpy_pbtrs(factor, f)
         expected, expected_info = pbtrs(expected, f)
         assert info == expected_info == 0
@@ -624,6 +633,22 @@ class TestLeanSolve:
         with pytest.raises(SolverError, match="leading minor 2 is not positive definite"):
             fem.cholesky_banded(ab)
 
+    def test_the_factor_has_the_bits_of_an_upper_dpbtrf(self, reference_cap, cer):
+        # Factored in the lower layout, read back into the upper one, with
+        # the unused corner above the first columns kept from the band.
+        for n in (4, 33, 256):
+            mesh = fem.mesh_cap(reference_cap, n)
+            for bc in fem.BOUNDARY_CONDITIONS:
+                ab, f = fem.assemble_system(mesh, 150.0, cer, 1e7)
+                fem._apply_bc(ab, f, fem.fixed_dofs(mesh.n_nodes, bc))
+                for col in range(fem.HALF_BANDWIDTH):
+                    ab[: fem.HALF_BANDWIDTH - col, col] = 7.0
+                expected, info = fem._PBTRF(ab)
+                assert info == 0
+                factor = fem.cholesky_banded(ab)
+                assert factor.flags.f_contiguous
+                assert factor.tobytes(order="F") == expected.tobytes(order="F")
+
     def test_factor_and_back_solve(self):
         # K = [[4, 2, 0], [2, 5, 1], [0, 1, 2]]: the factor keeps K, and the
         # back-solve of K x = b leaves b.
@@ -650,6 +675,56 @@ class TestConvergenceLadder:
         # Each refinement moves the apex toward the extrapolated limit.
         gaps = [abs(a - report.extrapolated_um) for a in report.apex_um]
         assert all(hi > lo for hi, lo in zip(gaps, gaps[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        b=st.floats(1150.0, 1400.0),
+        h=st.floats(200.0, 300.0),
+        nu=st.floats(0.30, 0.45),
+        data=st.data(),
+    )
+    def test_ladder_parts_equal_lone_builds_byte_for_byte(self, b, h, nu, data):
+        # The ladder's one element pass must give each mesh the parts a
+        # lone build gives it; tobytes() also tells -0.0 from 0.0.
+        n_start = data.draw(st.integers(4, 128), label="n_start")
+        top_levels = (fem.FEM_MAX_ELEMENTS // n_start).bit_length()
+        n_levels = data.draw(st.integers(3, top_levels), label="n_levels")
+        geometry = gt.solve_cap(b, h)
+        meshes = []
+        mesh_cap = fem.mesh_cap
+
+        def recorded(*args):
+            meshes.append(mesh_cap(*args))
+            return meshes[-1]
+
+        material = gt.Material("drawn", 4.0, nu)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "mesh_cap", recorded)
+            report = fem.converge(geometry, 150.0, material, 1e7, n_levels=n_levels, n_start=n_start)
+        assert [mesh.n_elements for mesh in meshes] == list(report.levels)
+        for mesh in meshes:
+            lone = fem._unit_system(mesh_cap(geometry, mesh.n_elements), nu)
+            ladder = mesh._unit_parts[nu]
+            assert [a.tobytes() for a in ladder] == [a.tobytes() for a in lone]
+
+    def test_builds_the_ladders_parts_in_one_element_pass(self, reference_cap, cer, monkeypatch):
+        passes = []
+        element_parts = fem._element_parts
+
+        def counted(meshes, nu):
+            passes.append([mesh.n_elements for mesh in meshes])
+            return element_parts(meshes, nu)
+
+        monkeypatch.setattr(fem, "_element_parts", counted)
+        gt.converge(reference_cap, 150.0, cer, gt.atm_to_pa(100.0))
+        assert passes == [[32, 64, 128, 256]]
+
+    def test_an_overflowing_ladder_mesh_is_a_mesh_error(self, cer):
+        geometry = gt.from_radius_angle(1e200, 30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="radius 1e[+]200 um is out of range"):
+                gt.converge(geometry, 1.0, cer, 1.0e6, n_levels=3, n_start=8)
 
     def test_json_shape(self, reference_cap, cer):
         report = gt.converge(
@@ -692,6 +767,14 @@ class TestConvergenceLadder:
             gt.converge(reference_cap, 150.0, cer, 1.0e6, n_levels=2)
         with pytest.raises(InputDomainError):
             gt.converge(reference_cap, 150.0, cer, 1.0e6, n_start=2)
+
+    @pytest.mark.parametrize(
+        "t, p, bc", [(0.0, 1.0e6, "clamped"), (150.0, -1.0, "clamped"), (150.0, 1.0e6, "glued")]
+    )
+    def test_a_bad_load_case_is_rejected_unbuilt(self, reference_cap, cer, monkeypatch, t, p, bc):
+        monkeypatch.setattr(fem, "mesh_cap", None)
+        with pytest.raises(InputDomainError):
+            gt.converge(reference_cap, t, cer, p, bc)
 
 
 class TestSolutionCsv:

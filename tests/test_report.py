@@ -211,6 +211,7 @@ class TestParseConfig:
             ({"materials": _library_doc("3", 2.0, 3.0)}, "youngs_modulus_gpa"),
             ({"materials": _library_doc(True, 2.0, 3.0)}, "youngs_modulus_gpa"),
             ({"fem": {"n_elements": 513}}, "fem.n_elements must be an integer of at most 512"),
+            ({"profile_points": 10_002}, "profile_points must be an integer of at most 10001"),
         ],
     )
     def test_rejections(self, doc, hint):

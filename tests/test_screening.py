@@ -5,6 +5,7 @@ import random
 import pytest
 
 import globtop as gt
+from globtop import shell_model
 from globtop.errors import ConfigError, InputDomainError
 
 from .oracles import bisect_root
@@ -518,3 +519,10 @@ class TestThicknessProfile:
     def test_too_few_points(self, cer, reference_cap, criteria):
         with pytest.raises(InputDomainError):
             gt.thickness_profile(cer, reference_cap, criteria, n_points=1)
+
+    def test_points_up_to_the_bound(self, cer, reference_cap, criteria):
+        top = shell_model.MAX_PROFILE_POINTS
+        prof = gt.thickness_profile(cer, reference_cap, criteria, n_points=top)
+        assert len(prof.thickness_um) == top
+        with pytest.raises(InputDomainError, match=f"n_points must be at most {top}"):
+            gt.thickness_profile(cer, reference_cap, criteria, n_points=top + 1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import globtop as gt
+from globtop import shell_model
 from globtop.errors import InputDomainError
 
 from .oracles import mp_apex_coefficient, mp_load_factor, mp_radial_w
@@ -233,6 +234,12 @@ class TestProfile:
     def test_too_few_samples_rejected(self, stiff_case, n):
         with pytest.raises(InputDomainError):
             gt.profile(stiff_case, n)
+
+    def test_more_samples_than_the_bound_rejected(self, stiff_case, monkeypatch):
+        # Rejected before any sample is taken.
+        monkeypatch.setattr(shell_model, "meridional_v", None)
+        with pytest.raises(InputDomainError, match="n_samples must be at most 10001"):
+            gt.profile(stiff_case, shell_model.MAX_PROFILE_POINTS + 1)
 
     def test_csv_round_trip(self, stiff_case):
         prof = gt.profile(stiff_case, 11)

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .doe import default_plan, plan_to_csv, read_responses_csv
 from .errors import (
     ConfigError,
     GlobtopError,
@@ -23,12 +22,12 @@ from .errors import (
 )
 from .geometry import REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
-from .screening import FEM_MAX_ELEMENTS, ScreeningCriteria, screen
 from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_deflection, profile
 from .units import ATM_PA, atm_to_pa
 
-# fem (numpy), report and stats are imported by the subcommands that use
-# them, so the closed-form commands start without numpy.
+# doe, fem (numpy), report, screening and stats are imported by the
+# subcommands that use them, so the closed-form commands start without numpy
+# and deflect and geometry without the plan and screening modules.
 
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
@@ -187,6 +186,8 @@ def _cmd_deflect(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .doe import default_plan, plan_to_csv
+
     library = _library_from(args)
     plan = default_plan(library, args.thickness_levels_um, args.pressure_levels_atm)
     plan_to_csv(plan, args.out or sys.stdout)
@@ -210,6 +211,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_anova(args) -> int:
+    from .doe import read_responses_csv
     from .stats import anova_table, effect_tests, effects_to_csv_text, effects_to_json, fit_screening_model
 
     results = read_responses_csv(args.responses)
@@ -246,6 +248,8 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .screening import ScreeningCriteria, screen
+
     geom = _geometry_from(args)
     if args.material:
         library = MaterialLibrary(materials=(_material_from(args),))
@@ -271,6 +275,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fem(args) -> int:
+    from .screening import FEM_MAX_ELEMENTS
+
     if args.n_elements > FEM_MAX_ELEMENTS:
         raise InputDomainError(
             f"--n-elements must be at most {FEM_MAX_ELEMENTS}, past which roundoff"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
@@ -39,6 +38,8 @@ class Material:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
             raise InputDomainError("material name must be a non-empty string")
+        if self.name.encode("utf-8", "ignore").decode("utf-8") != self.name:
+            raise InputDomainError(f"material name {self.name!r} cannot be encoded as UTF-8")
         e = real(f"{self.name}: youngs_modulus_gpa", self.youngs_modulus_gpa)
         if e <= 0.0:
             raise InputDomainError(
@@ -160,5 +161,4 @@ def serialize_library(library: MaterialLibrary) -> str:
 
 def default_library() -> MaterialLibrary:
     """The three bundled candidate encapsulants, softest first."""
-    text = resources.files("globtop").joinpath("data/materials.json").read_text("utf-8")
-    return load_library(text)
+    return load_library((Path(__file__).parent / "data" / "materials.json").read_text("utf-8"))

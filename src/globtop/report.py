@@ -7,16 +7,20 @@ directory.  Outputs are deterministic: identical resolved configs give
 byte-identical files, and report.json embeds the sha256 hash of the
 resolved config so a report can be tied back to its inputs.
 
-If a stage fails, a STALE marker naming the stage is left in the output
-directory so partially written artifacts are never mistaken for a complete
-study.
+The stages compute every artifact's text first, and one last stage writes
+them all.  A failed compute stage therefore writes nothing, and an earlier
+study in the directory stays whole; only a failed write leaves a STALE
+marker.  ``anova_<source>.json``, ``effects_<source>.json`` and
+``verdicts.json`` are sections of report.json, cut from the same document.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -319,25 +323,20 @@ def _slug(name: str) -> str:
 def _responses(
     config: StudyConfig, plan: ExperimentPlan, source: str, mesh: ShellMesh | None
 ):
-    if source == "analytical":
-        return realize_responses(
-            plan,
-            apex_deflection,
-            geometry=config.geometry,
-            atm_pa=config.atm_pa,
-            source="analytical",
+    def fem_apex(case) -> float:
+        sol = solve_case(
+            mesh, case.thickness_um, case.material, case.pressure_pa, config.fem_bc
         )
-    if source == "fem":
-        def fem_apex(case) -> float:
-            sol = solve_case(
-                mesh, case.thickness_um, case.material, case.pressure_pa, config.fem_bc
-            )
-            return sol.apex_deflection_um
+        return sol.apex_deflection_um
 
-        return realize_responses(
-            plan, fem_apex, geometry=config.geometry, atm_pa=config.atm_pa, source="fem"
-        )
-    return realize_responses(plan, config.external_simulated_um, source="external")
+    responder = {
+        "analytical": apex_deflection,
+        "fem": fem_apex,
+        "external": config.external_simulated_um,
+    }[source]
+    return realize_responses(
+        plan, responder, geometry=config.geometry, atm_pa=config.atm_pa, source=source
+    )
 
 
 def _comparison_sources(config: StudyConfig) -> tuple[str, str] | None:
@@ -351,107 +350,119 @@ def _comparison_sources(config: StudyConfig) -> tuple[str, str] | None:
     return (sim, calc) if {sim, calc} <= available else None
 
 
-def _artifact_names(sources, slugs, comparison) -> set[str]:
-    """The files a study writes; with "*" for the names, the patterns of all."""
-    names = {"plan.csv", "verdicts.csv", "verdicts.json", "report.json"}
-    names |= {"comparison.csv"} if comparison else set()
-    for s in sources:
-        names |= {f"responses_{s}.csv", f"anova_{s}.csv", f"anova_{s}.json"}
-        names |= {f"effects_{s}.csv", f"effects_{s}.json"}
-    return names | {f"profile_{slug}.{ext}" for slug in slugs for ext in ("csv", "svg")}
+# The names of every artifact a study can write.  A rerun removes an earlier
+# study's files that match one of them and that it does not write itself.
+_ARTIFACT_PATTERNS = (
+    "plan.csv", "responses_*.csv", "comparison.csv", "anova_*.csv", "anova_*.json",
+    "effects_*.csv", "effects_*.json", "verdicts.csv", "verdicts.json",
+    "profile_*.csv", "profile_*.svg", "report.json",
+)
+
+
+@contextmanager
+def _stage(name: str):
+    """Raise any exception of the block as a StageError naming ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
-    """Run every stage and write all artifacts into ``out_dir``.
+    """Compute every artifact of the study, then write them into ``out_dir``.
 
-    Before the first stage, artifacts of an earlier study in ``out_dir``
-    that this one will not write are removed; other files are left alone.
+    A failed compute stage raises a StageError naming it and writes nothing;
+    ``_write_artifacts`` does the write.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stale = out / "STALE"
-
-    def stage(name: str, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            stale.write_text(f"incomplete study: stage {name} failed\n", encoding="utf-8")
-            raise StageError(name, exc) from exc
-
-    stale.unlink(missing_ok=True)
-    pair = _comparison_sources(config)
-    keep = _artifact_names(config.sources, [_slug(m.name) for m in config.library], pair)
-    for pattern in _artifact_names(["*"], ["*"], True):
-        for path in out.glob(pattern):
-            if path.name not in keep and path.is_file():
-                path.unlink()
-
-    plan = stage("plan", lambda: default_plan(
-        config.library, config.thickness_levels_um, config.pressure_levels_atm
-    ))
-    stage("plan", lambda: plan_to_csv(plan, out / "plan.csv"))
+    files: dict[str, str] = {}  # artifact name -> text
+    with _stage("plan"):
+        plan = default_plan(config.library, config.thickness_levels_um, config.pressure_levels_atm)
+        files["plan.csv"] = _csv(plan_to_csv, plan)
 
     # One mesh serves the fem responses and the fem screen, and lives as long
     # as this study.
     mesh = None
     if "fem" in config.sources:
-        mesh = stage("responses:fem", lambda: mesh_cap(config.geometry, config.fem_elements))
+        with _stage("responses:fem"):
+            mesh = mesh_cap(config.geometry, config.fem_elements)
     responses: dict[str, tuple[RunResult, ...]] = {}
     for source in config.sources:
-        responses[source] = stage(
-            f"responses:{source}", lambda s=source: _responses(config, plan, s, mesh)
-        )
-        stage(
-            f"responses:{source}",
-            lambda s=source: results_to_csv(responses[s], out / f"responses_{s}.csv"),
-        )
+        with _stage(f"responses:{source}"):
+            responses[source] = _responses(config, plan, source, mesh)
+            files[f"responses_{source}.csv"] = _csv(results_to_csv, responses[source])
 
-    comparison = None
+    comparison, pair = None, _comparison_sources(config)
     if pair is not None:
         columns = {s: tuple(r.response_um for r in rs) for s, rs in responses.items()}
         columns.update(
             external=config.external_simulated_um,
             external_calculated=config.external_calculated_um,
         )
-        comparison = stage("comparison", lambda: compare_columns(*(columns[s] for s in pair)))
-        stage("comparison", lambda: _write_comparison(comparison, out / "comparison.csv"))
+        with _stage("comparison"):
+            comparison = compare_columns(*(columns[s] for s in pair))
+            files["comparison.csv"] = "run,simulated_um,calculated_um,ratio,error_pct\n" + "".join(
+                f"{r.run},{r.simulated_um:.2f},{r.calculated_um:.2f},{r.ratio:.4f},{r.error_pct:.2f}\n"
+                for r in comparison
+            )
 
     analyses = []
     for source in config.sources:
-        fit = stage(f"stats:{source}", lambda s=source: fit_screening_model(responses[s]))
-        table = stage(f"stats:{source}", lambda f=fit: anova_table(f))
-        effects = stage(f"stats:{source}", lambda f=fit: effect_tests(f))
-        verdicts = stage(
-            f"screening:{source}",
-            lambda s=source, f=fit: screen(
+        with _stage(f"stats:{source}"):
+            fit = fit_screening_model(responses[source])
+            anova = anova_table(fit)
+            effects = effect_tests(fit)
+            files[f"anova_{source}.csv"] = anova.to_csv_text()
+            files[f"effects_{source}.csv"] = effects_to_csv_text(effects)
+        with _stage(f"screening:{source}"):
+            verdicts = screen(
                 config.library,
                 config.geometry,
                 config.criteria,
-                s,
-                fit=f,
+                source,
+                fit=fit,
                 atm_pa=config.atm_pa,
                 fem_bc=config.fem_bc,
                 fem_mesh=mesh,
-            ),
-        )
+            )
         analyses.append(
             SourceAnalysis(
                 source=source,
                 results=responses[source],
                 fit=fit,
-                anova=table,
+                anova=anova,
                 effects=effects,
                 verdicts=verdicts,
             )
         )
-        stage(
-            f"stats:{source}",
-            lambda s=source, t=table, e=effects: _write_stats(out, s, t, e),
-        )
 
-    stage("screening", lambda: _write_verdicts(out, analyses))
+    with _stage("screening"):
+        lines = ["material,source,min_feasible_thickness_um,worst_case_deflection_um,classification\n"]
+        for v in (v for a in analyses for v in a.verdicts):
+            t_min = "inf" if math.isinf(v.min_feasible_thickness_um) else f"{v.min_feasible_thickness_um:.4f}"
+            lines.append(
+                f"{v.material_name},{v.source},{t_min},"
+                f"{v.worst_case_deflection_um:.2f},{v.classification}\n"
+            )
+        files["verdicts.csv"] = "".join(lines)
 
-    stage("profiles", lambda: _write_profiles(out, config))
+    with _stage("profiles"):
+        from .svgplot import Series, line_plot
+
+        limit = config.criteria.deflection_limit_um
+        for mat in config.library:
+            prof = thickness_profile(
+                mat, config.geometry, config.criteria, n_points=config.profile_points, atm_pa=config.atm_pa
+            )
+            slug = _slug(mat.name)
+            files[f"profile_{slug}.csv"] = prof.to_csv_text()
+            files[f"profile_{slug}.svg"] = line_plot(
+                [Series(label=mat.name, x=prof.thickness_um, y=prof.deflection_um)],
+                title=f"Apex deflection vs thickness, {mat.name}, {prof.pressure_atm:g} atm",
+                x_label="thickness (um)",
+                y_label="apex deflection (um)",
+                h_line=limit if math.isfinite(limit) else None,
+                h_line_label="limit",
+            )
 
     report = StudyReport(
         config=config,
@@ -460,81 +471,55 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         comparison=comparison,
         comparison_sources=pair,
     )
-    stage("report", lambda: _write_report_json(out / "report.json", report))
+    with _stage("report"):
+        # The per-source JSON files and verdicts.json are sections of report.json.
+        doc = _report_doc(report)
+        for source, stats in doc["stats"].items():
+            files[f"anova_{source}.json"] = _json_text(stats["anova"])
+            files[f"effects_{source}.json"] = _json_text(stats["effects"])
+        files["verdicts.json"] = _json_text(doc["verdicts"])
+        files["report.json"] = _json_text(doc)
+    _write_artifacts(Path(out_dir), files)
     return report
 
 
-def _write_comparison(rows: Sequence[ComparisonRow], path: Path) -> None:
-    lines = ["run,simulated_um,calculated_um,ratio,error_pct\n"]
-    lines += [
-        f"{r.run},{r.simulated_um:.2f},{r.calculated_um:.2f},{r.ratio:.4f},{r.error_pct:.2f}\n"
-        for r in rows
-    ]
-    path.write_text("".join(lines), encoding="utf-8")
+def _write_artifacts(out: Path, files: dict[str, str]) -> None:
+    """Write ``files`` (name -> text) into ``out`` as one study.
+
+    An earlier study's artifacts that are not in ``files`` are removed first;
+    other files are left alone.  If any of this fails, a STALE marker is left
+    in ``out`` where it can be written, and a StageError names the write.
+    """
+    stale = out / "STALE"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stale.unlink(missing_ok=True)
+        for pattern in _ARTIFACT_PATTERNS:
+            for path in out.glob(pattern):
+                if path.name not in files and path.is_file():
+                    path.unlink()
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except Exception as exc:
+        with suppress(OSError):
+            stale.write_text("incomplete study: stage write failed\n", encoding="utf-8")
+        raise StageError("write", exc) from exc
 
 
-def _write_stats(
-    out: Path, source: str, table: AnovaTable, effects: Sequence[EffectTest]
-) -> None:
-    (out / f"anova_{source}.csv").write_text(table.to_csv_text(), encoding="utf-8")
-    _dump_json(out / f"anova_{source}.json", table.to_json_dict())
-    (out / f"effects_{source}.csv").write_text(
-        effects_to_csv_text(effects), encoding="utf-8"
-    )
-    _dump_json(out / f"effects_{source}.json", effects_to_json(effects))
+def _csv(write, rows) -> str:
+    """The text that ``write`` (plan_to_csv or results_to_csv) gives ``rows``."""
+    buf = io.StringIO()
+    write(rows, buf)
+    return buf.getvalue()
 
 
-def _write_verdicts(out: Path, analyses: Sequence[SourceAnalysis]) -> None:
-    lines = ["material,source,min_feasible_thickness_um,worst_case_deflection_um,classification\n"]
-    doc = {}
-    for analysis in analyses:
-        doc[analysis.source] = [v.as_dict() for v in analysis.verdicts]
-        for v in analysis.verdicts:
-            t_min = "inf" if math.isinf(v.min_feasible_thickness_um) else f"{v.min_feasible_thickness_um:.4f}"
-            lines.append(
-                f"{v.material_name},{v.source},{t_min},"
-                f"{v.worst_case_deflection_um:.2f},{v.classification}\n"
-            )
-    (out / "verdicts.csv").write_text("".join(lines), encoding="utf-8")
-    _dump_json(out / "verdicts.json", doc)
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def _write_profiles(out: Path, config: StudyConfig) -> None:
-    from .svgplot import Series, line_plot
-
-    for mat in config.library:
-        prof = thickness_profile(
-            mat,
-            config.geometry,
-            config.criteria,
-            n_points=config.profile_points,
-            atm_pa=config.atm_pa,
-        )
-        slug = _slug(mat.name)
-        (out / f"profile_{slug}.csv").write_text(prof.to_csv_text(), encoding="utf-8")
-        svg = line_plot(
-            [Series(label=mat.name, x=prof.thickness_um, y=prof.deflection_um)],
-            title=f"Apex deflection vs thickness, {mat.name}, {prof.pressure_atm:g} atm",
-            x_label="thickness (um)",
-            y_label="apex deflection (um)",
-            h_line=config.criteria.deflection_limit_um
-            if math.isfinite(config.criteria.deflection_limit_um)
-            else None,
-            h_line_label="limit",
-        )
-        (out / f"profile_{slug}.svg").write_text(svg, encoding="utf-8")
-
-
-def _dump_json(path: Path, doc) -> None:
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _write_report_json(path: Path, report: StudyReport) -> None:
+def _report_doc(report: StudyReport) -> dict:
     config = report.config
-    doc = {
+    return {
         "provenance": {
             "package_version": __version__,
             "config_hash": config.config_hash,
@@ -590,4 +575,3 @@ def _write_report_json(path: Path, report: StudyReport) -> None:
             ],
         },
     }
-    _dump_json(path, doc)

@@ -87,10 +87,10 @@ assert codes == [0] * len(runs), codes
 """
 
 
-def _run_python(script):
+def _run_python(script, *flags):
     src = str(Path(gt.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
 
@@ -102,6 +102,21 @@ def _run_python(script):
 )
 def test_closed_form_paths_leave_numpy_and_scipy_out(script):
     proc = _run_python(f"{script}\n{_LOADED_NUMPY_OR_SCIPY}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
+    # -S keeps site's .pth files from importing importlib.resources first.
+    proc = _run_python(
+        "import contextlib, io, sys\nfrom globtop import cli\n"
+        "argv = ['deflect', '--material', 'Polyimide', '--thickness-um', '150', '--pressure-atm', '80']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in ('globtop.doe', 'globtop.screening', 'importlib.resources')"
+        " if m in sys.modules))",
+        "-S",
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -210,7 +225,7 @@ def test_without_either_lapack_fem_is_an_error_line(command):
           "--pressure-atm", "80", "--n-elements", "8"], "missing/x.csv"),
         (["plan"], "missing/x.csv"),
         (["study", "--config", "CONFIG"], "a_file/x"),
-        # The directory exists, but stage 'report' cannot write report.json.
+        # The directory exists, but the write stage cannot write report.json.
         (["study", "--config", "CONFIG"], "out"),
     ],
     ids=["deflect", "fem", "plan", "study", "study-report"],
@@ -225,6 +240,32 @@ def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, out):
     assert code == 1
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["study", "plan", "optimize"])
+def test_a_material_name_utf8_cannot_encode_is_an_input_error(capsys, tmp_path, command):
+    # The JSON escape \ud800 reads as a lone surrogate, which UTF-8 cannot encode.
+    library = tmp_path / "lib.json"
+    names = ["Poly\ud800", "b", "c"]
+    library.write_text(json.dumps({"materials": [
+        {"name": name, "youngs_modulus_gpa": e, "poisson_ratio": 0.3}
+        for name, e in zip(names, (1.0, 2.0, 3.0))
+    ]}), encoding="utf-8")
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"materials": "lib.json", "profile_points": 5}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "study": ["study", "--config", str(config), "--out", str(out)],
+        "plan": ["plan", "--materials", str(library), "--out", str(out)],
+        "optimize": ["optimize", "--materials", str(library)],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "cannot be encoded as UTF-8" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json", "study.json"]
 
 
 class TestGeometry:

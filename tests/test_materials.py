@@ -82,6 +82,12 @@ class TestMaterialValidation:
         with pytest.raises(InputDomainError):
             gt.Material("  ", 10.0, 0.3)
 
+    def test_name_must_encode_as_utf8(self):
+        # A lone surrogate, as the JSON string "Poly\ud800" reads.
+        with pytest.raises(InputDomainError, match="UTF-8"):
+            gt.Material("Poly\ud800", 10.0, 0.3)
+        assert gt.Material("Polyimid\u00e9 \u2014 \U0001f600", 10.0, 0.3).name.endswith("\U0001f600")
+
 
 class TestLibraryValidation:
     def test_duplicate_names_collide_after_normalization(self):

@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import fnmatch
+import itertools
 import json
 from pathlib import Path
 
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 
 import globtop as gt
 from globtop.errors import ConfigError, StageError
-from globtop.report import compare_columns, parse_config, parse_config_file, run_study
+from globtop.report import (
+    _ARTIFACT_PATTERNS,
+    compare_columns,
+    parse_config,
+    parse_config_file,
+    run_study,
+)
 from globtop.svgplot import Series, line_plot
 
 from .conftest import CALCULATED_UM, SIMULATED_UM
@@ -393,17 +401,82 @@ class TestRunStudy:
         # Parylene C and carbon epoxy resin share nu = 0.4.
         assert sorted(builds) == [0.35, 0.4]
 
-    def test_failing_stage_leaves_stale_marker(self, tmp_path):
+    def test_failing_compute_stage_writes_nothing(self, tmp_path):
+        out = tmp_path / "kept"
+        run_study(parse_config({"profile_points": 5}), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         # parse_config rejects a 2-material library, so it is put in by hand.
         two = gt.MaterialLibrary(
             materials=(gt.Material("a", 1.0, 0.3), gt.Material("b", 2.0, 0.3))
         )
-        config = dataclasses.replace(parse_config({"profile_points": 5}), library=two)
-        out = tmp_path / "broken"
+        config = dataclasses.replace(parse_config(FULL_CONFIG), library=two)
         with pytest.raises(StageError) as err:
             run_study(config, out)
         assert err.value.stage == "plan"
-        assert (out / "STALE").read_text(encoding="utf-8").startswith("incomplete study")
+        # The earlier study stays whole, and no STALE marker is left.
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        with pytest.raises(StageError):
+            run_study(config, tmp_path / "never")
+        assert not (tmp_path / "never").exists()
+
+    def test_failing_write_leaves_stale_marker(self, tmp_path):
+        out = tmp_path / "blocked"
+        (out / "report.json").mkdir(parents=True)
+        with pytest.raises(StageError) as err:
+            run_study(parse_config({"profile_points": 5}), out)
+        assert err.value.stage == "write"
+        assert isinstance(err.value.original, IsADirectoryError)
+        assert (out / "STALE").read_text(encoding="utf-8") == "incomplete study: stage write failed\n"
+        (out / "report.json").rmdir()
+        run_study(parse_config({"profile_points": 5}), out)
+        assert not (out / "STALE").exists()
+
+    def test_a_write_failure_of_any_kind_is_a_stage_error(self, monkeypatch, tmp_path):
+        write_text = Path.write_text
+
+        def refuse_the_report(self, *args, **kwargs):
+            if self.name == "report.json":
+                raise RuntimeError("refused")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse_the_report)
+        with pytest.raises(StageError) as err:
+            run_study(parse_config({"profile_points": 5}), tmp_path)
+        assert err.value.stage == "write"
+        assert isinstance(err.value.original, RuntimeError)
+        assert (tmp_path / "STALE").is_file()
+
+    @pytest.mark.parametrize(
+        "sources",
+        [s for n in (1, 2, 3) for s in itertools.combinations(("analytical", "fem", "external"), n)],
+        ids="+".join,
+    )
+    def test_every_artifact_matches_a_leftover_pattern(self, tmp_path, sources):
+        doc = {"sources": list(sources), "fem": {"n_elements": 16}, "profile_points": 5}
+        if "external" in sources:
+            doc["external"] = {"simulated_um": list(SIMULATED_UM)}
+        alone = tmp_path / "alone"
+        run_study(parse_config(doc), alone)
+        names = {p.name for p in alone.iterdir()}
+        for name in names:
+            assert any(fnmatch.fnmatchcase(name, p) for p in _ARTIFACT_PATTERNS), name
+        # So a rerun into a full study's directory leaves just this study.
+        rerun = tmp_path / "rerun"
+        run_study(parse_config({**FULL_CONFIG, "fem": {"n_elements": 16}}), rerun)
+        run_study(parse_config(doc), rerun)
+        assert {p.name for p in rerun.iterdir()} == names
+
+    def test_duplicate_json_files_are_report_sections(self, full_study):
+        config, _, out = full_study
+
+        def read(name):
+            return json.loads((out / name).read_text(encoding="utf-8"))
+
+        doc = read("report.json")
+        assert read("verdicts.json") == doc["verdicts"]
+        for source in config.sources:
+            assert read(f"anova_{source}.json") == doc["stats"][source]["anova"]
+            assert read(f"effects_{source}.json") == doc["stats"][source]["effects"]
 
     def test_rerun_with_fewer_sources_removes_their_artifacts(self, tmp_path):
         out = tmp_path / "rerun"

@@ -16,15 +16,21 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import IO, Callable, Sequence, Union
 
-from .errors import ConfigError, InputDomainError, ResponderError
+from .errors import ConfigError, InputDomainError, Record, ResponderError
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase
 from .units import ATM_PA, atm_to_pa
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import IO
+
+    # A column of 9 responses in run order, or a callable giving one per run.
+    Responder = Callable[[ShellCase], float] | Sequence[float]
 
 L9_CODES: tuple[tuple[int, int, int], ...] = (
     (-1, +1, +1),
@@ -66,8 +72,7 @@ def audit_orthogonality(codes: Sequence[Sequence[int]]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """A screening factor with exactly three distinct levels, low to high."""
 
     name: str
@@ -102,8 +107,7 @@ def material_factor(library: MaterialLibrary) -> Factor:
     return Factor(name="material", levels=library.sorted_by_modulus(), kind="categorical")
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Record):
     """One planned run: level codes plus the realized factor settings."""
 
     run: int
@@ -113,8 +117,7 @@ class RunSpec:
     pressure_atm: float
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(Record):
     """A realized L9 plan; orthogonality is re-audited on construction."""
 
     factors: tuple[Factor, Factor, Factor]
@@ -166,8 +169,7 @@ def default_plan(
     )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """A run with its scalar deflection response attached."""
 
     run: int
@@ -176,9 +178,6 @@ class RunResult:
     pressure_atm: float
     response_um: float
     source: str
-
-
-Responder = Union[Callable[[ShellCase], float], Sequence[float]]
 
 
 def realize_responses(
@@ -296,7 +295,7 @@ def read_responses_csv(path: str | Path) -> tuple[RunResult, ...]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read responses file {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
     required = set(_RESPONSE_HEADER) - {"source"}

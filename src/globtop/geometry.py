@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
-from .errors import ConfigError, InputDomainError, real
+from .errors import ConfigError, InputDomainError, Record, real
 
 
 class ThinShellWarning(UserWarning):
@@ -35,8 +34,7 @@ def _require_finite_positive(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class CapGeometry:
+class CapGeometry(Record):
     """Spherical cap described redundantly by (b, h) and (a, alpha).
 
     The four fields must be consistent; the constructor re-derives the chord

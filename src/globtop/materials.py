@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from collections.abc import Iterator
 
-from .errors import ConfigError, InputDomainError, real
+from .errors import ConfigError, InputDomainError, Record, real
 from .units import GPA_PA
 
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -27,8 +26,7 @@ def _normalize(name: str) -> str:
     return _NORM_RE.sub("", name.lower())
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record):
     """Isotropic elastic encapsulant candidate."""
 
     name: str
@@ -65,8 +63,7 @@ class Material:
         }
 
 
-@dataclass(frozen=True)
-class MaterialLibrary:
+class MaterialLibrary(Record):
     """Ordered collection of materials with case-insensitive name lookup."""
 
     materials: tuple[Material, ...]

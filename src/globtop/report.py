@@ -20,11 +20,10 @@ import hashlib
 import io
 import json
 import math
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .doe import (
@@ -35,7 +34,7 @@ from .doe import (
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, InputDomainError, StageError, real
+from .errors import ConfigError, InputDomainError, Record, StageError, real
 from .geometry import CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library, load_library_file
 from .screening import (
@@ -61,12 +60,12 @@ from .stats import (
 )
 from .units import ATM_PA
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .fem import ShellMesh
 
 
-@dataclass(frozen=True)
-class StudyConfig:
+class StudyConfig(Record):
     """Fully resolved study inputs plus the hash of their canonical form."""
 
     geometry: CapGeometry
@@ -209,7 +208,7 @@ def _jsonable(value):
     if isinstance(value, MaterialLibrary):
         return list(value)
     if isinstance(value, ScreeningCriteria):
-        return asdict(value)
+        return {name: getattr(value, name) for name in value._fields}
     return value.as_dict()
 
 
@@ -241,7 +240,7 @@ def parse_config_file(path: str | Path) -> StudyConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -250,8 +249,7 @@ def parse_config_file(path: str | Path) -> StudyConfig:
     return parse_config(doc, base_dir=path.parent)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     run: int
     simulated_um: float
     calculated_um: float
@@ -286,8 +284,7 @@ def compare_columns(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SourceAnalysis:
+class SourceAnalysis(Record):
     source: str
     results: tuple[RunResult, ...]
     fit: ScreeningFit
@@ -296,8 +293,7 @@ class SourceAnalysis:
     verdicts: tuple[Verdict, ...]
 
 
-@dataclass(frozen=True)
-class StudyReport:
+class StudyReport(Record):
     """Everything a study produced, before serialization."""
 
     config: StudyConfig

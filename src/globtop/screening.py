@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .errors import ConfigError, InputDomainError, SolverError, real
+from .errors import ConfigError, InputDomainError, Record, SolverError, real
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_coefficient, apex_deflection
 from .units import ATM_PA, atm_to_pa
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .fem import FemSolution, ShellMesh
     from .stats import ScreeningFit
@@ -46,8 +45,7 @@ _ROOT_XTOL = 1e-8
 _RTOL = 4 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class ScreeningCriteria:
+class ScreeningCriteria(Record):
     """Feasibility thresholds for the package under study."""
 
     deflection_limit_um: float = 5.0
@@ -124,8 +122,7 @@ def desirability(
     return (hi - w) / (hi - lo)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Feasibility verdict for one material under one response source."""
 
     material_name: str
@@ -386,15 +383,14 @@ def screen(
     return tuple(verdicts)
 
 
-@dataclass(frozen=True)
-class ThicknessProfile:
+class ThicknessProfile(Record):
     """Deflection and desirability versus thickness for one material."""
 
     material_name: str
     pressure_atm: float
     thickness_um: tuple[float, ...]
     deflection_um: tuple[float, ...]
-    desirability: tuple[float, ...] = field(repr=False)
+    desirability: tuple[float, ...]
 
     def rows(self):
         return zip(self.thickness_um, self.deflection_um, self.desirability)

@@ -34,13 +34,16 @@ makes C and therefore v and w come out in um with no conversion factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from pathlib import Path
-from typing import IO, Iterable
 
-from .errors import InputDomainError
+from .errors import InputDomainError, Record
 from .geometry import CapGeometry, thinness_ratio
 from .materials import Material
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import IO
 
 _PHI_SLACK = 1e-12
 # The most points a deflection or thickness profile samples, from the study
@@ -50,8 +53,7 @@ _PHI_SLACK = 1e-12
 MAX_PROFILE_POINTS = 10_001
 
 
-@dataclass(frozen=True)
-class ShellCase:
+class ShellCase(Record):
     """One fully specified load case: geometry, thickness, material, pressure.
 
     Construction runs the thinness check, so a case outside the thin-shell
@@ -140,14 +142,13 @@ def apex_deflection(case: ShellCase) -> float:
     return abs(radial_w(case, 0.0))
 
 
-@dataclass(frozen=True)
-class DeflectionProfile:
+class DeflectionProfile(Record):
     """Sampled (phi, v, w) along the meridian from apex to rim."""
 
     case: ShellCase
     phi_rad: tuple[float, ...]
     v_um: tuple[float, ...]
-    w_um: tuple[float, ...] = field(repr=False)
+    w_um: tuple[float, ...]
 
     @property
     def apex_w(self) -> float:

@@ -23,10 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import FitError, InputDomainError, SolverError
+from .errors import FitError, InputDomainError, Record, SolverError
 from .doe import RunResult, audit_orthogonality
 
 _CF_EPS = 1e-15
@@ -133,8 +132,7 @@ def f_lower_tail(f: float, df_num: float, df_den: float) -> float:
     return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, x)
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(Record):
     source: str
     df: int
     ss: float
@@ -143,8 +141,7 @@ class AnovaRow:
     p: float | None = None
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(Record):
     """Model / Error / Total decomposition with the usual blank cells."""
 
     rows: tuple[AnovaRow, ...]
@@ -226,8 +223,7 @@ def anova_from_components(
     )
 
 
-@dataclass(frozen=True)
-class ScreeningFit:
+class ScreeningFit(Record):
     """Additive screening model fitted to one 9-run response column.
 
     The model is response = material level mean + thickness and pressure
@@ -371,8 +367,7 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
     )
 
 
-@dataclass(frozen=True)
-class EffectTest:
+class EffectTest(Record):
     """One factor's F test against the 4-df residual."""
 
     source: str

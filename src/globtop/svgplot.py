@@ -8,8 +8,9 @@ plotting library whose output embeds ids, dates, or version strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from .errors import Record
 
 _WIDTH = 640
 _HEIGHT = 420
@@ -21,8 +22,7 @@ _MARGIN_B = 56
 PALETTE = ("#1f6fb4", "#c0392b", "#27843f", "#8e44ad", "#b8860b")
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     label: str
     x: Sequence[float]
     y: Sequence[float]

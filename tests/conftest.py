@@ -41,6 +41,11 @@ PLAN_ROWS = (
 )
 
 
+def replaced(record, **changes):
+    """``record`` built again through its constructor, with ``changes`` applied."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 @pytest.fixture(scope="session")
 def library():
     return gt.default_library()

@@ -68,10 +68,11 @@ class TestTopLevel:
 _LOADED_NUMPY_OR_SCIPY = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
 )
+# Scripts that need a work directory take it as sys.argv[1] (_run_python's ``work``).
 _CLOSED_FORM_RUNS = """
-import contextlib, io, json, pathlib, sys, tempfile
+import contextlib, io, json, pathlib, sys
 from globtop import cli
-d = pathlib.Path(tempfile.mkdtemp())
+d = pathlib.Path(sys.argv[1])
 (d / "study.json").write_text(json.dumps({"profile_points": 5}))
 runs = [
     ["geometry"],
@@ -87,11 +88,16 @@ assert codes == [0] * len(runs), codes
 """
 
 
-def _run_python(script, *flags):
+def _run_python(script, *flags, work=None, **env):
+    """Run ``script`` under ``python *flags -c``.
+
+    ``work`` becomes the script's sys.argv[1], and ``env`` adds environment variables.
+    """
     src = str(Path(gt.__file__).resolve().parents[1])
+    argv = [] if work is None else [str(work)]
     return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -100,8 +106,8 @@ def _run_python(script, *flags):
     ["import sys, globtop", "import sys, globtop.cli", _CLOSED_FORM_RUNS],
     ids=["package", "cli", "closed-form-commands"],
 )
-def test_closed_form_paths_leave_numpy_and_scipy_out(script):
-    proc = _run_python(f"{script}\n{_LOADED_NUMPY_OR_SCIPY}")
+def test_closed_form_paths_leave_numpy_and_scipy_out(script, tmp_path):
+    proc = _run_python(f"{script}\n{_LOADED_NUMPY_OR_SCIPY}", work=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -121,9 +127,22 @@ def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
     assert proc.stdout.strip() == "[]"
 
 
+def test_closed_form_commands_load_neither_dataclasses_nor_inspect_nor_typing(tmp_path):
+    # The value classes are Records, and typing is imported only for type
+    # checkers.  -S keeps site's .pth files from importing typing first.
+    proc = _run_python(
+        f"{_CLOSED_FORM_RUNS}\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))",
+        "-S",
+        work=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _FEM_ARGV = """
-import json, pathlib, sys, tempfile
-d = pathlib.Path(tempfile.mkdtemp())
+import json, pathlib, sys
+d = pathlib.Path(sys.argv[1])
 (d / "study.json").write_text(
     json.dumps({"sources": ["analytical", "fem"], "fem": {"n_elements": 16}, "profile_points": 5})
 )
@@ -132,30 +151,31 @@ study = ["study", "--config", str(d / "study.json"), "--out", str(d / "out")]
 """
 
 
-def _loaded_after(runs):
+def _loaded_after(runs, work):
     """numpy and scipy modules loaded once ``cli.main`` has run each argv in ``runs``."""
     proc = _run_python(
         f"{_FEM_ARGV}\nimport contextlib, io\nfrom globtop import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {runs}]\n"
-        f"assert set(codes) == {{0}}, codes\n{_LOADED_NUMPY_OR_SCIPY}"
+        f"assert set(codes) == {{0}}, codes\n{_LOADED_NUMPY_OR_SCIPY}",
+        work=work,
     )
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout))
 
 
-def test_fem_loads_lapack_without_the_scipy_linalg_package():
+def test_fem_loads_lapack_without_the_scipy_linalg_package(tmp_path):
     # fem takes dpbtrf and dpbtrs from the LAPACK numpy already links, so
     # it loads no scipy module at all, let alone the scipy.linalg package.
-    loaded = _loaded_after("[fem, fem + ['--converge']]")
+    loaded = _loaded_after("[fem, fem + ['--converge']]", tmp_path)
     assert "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert "numpy.f2py" not in loaded
 
 
-def test_fem_study_loads_neither_scipy_optimize_nor_scipy_linalg():
+def test_fem_study_loads_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
     # The study's thickness root find is screening's own Brent method.
-    loaded = _loaded_after("[study]")
+    loaded = _loaded_after("[study]", tmp_path)
     assert "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert "numpy.f2py" not in loaded
@@ -180,19 +200,19 @@ print(json.dumps({
 """
 
 
-def _fem_outputs(prelude=""):
-    proc = _run_python(f"{_FEM_ARGV}\n{prelude}\n{_FEM_OUTPUTS}")
+def _fem_outputs(work, prelude=""):
+    proc = _run_python(f"{_FEM_ARGV}\n{prelude}\n{_FEM_OUTPUTS}", work=work)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_fem_output_does_not_depend_on_the_lapack_source():
+def test_fem_output_does_not_depend_on_the_lapack_source(tmp_path):
     # numpy's LAPACK, bound as Python functions, by default and with scipy
     # hidden; with numpy's symbols hidden, scipy's f2py extension.  All three print the same bytes
     # and write the same files.
-    default = _fem_outputs()
-    without_scipy = _fem_outputs("sys.modules['scipy'] = None")
-    fallback = _fem_outputs(HIDE_NUMPY_LAPACK)
+    default = _fem_outputs(tmp_path)
+    without_scipy = _fem_outputs(tmp_path, "sys.modules['scipy'] = None")
+    fallback = _fem_outputs(tmp_path, HIDE_NUMPY_LAPACK)
     assert default["lapack"] == without_scipy["lapack"] == "function"
     assert fallback["lapack"] == "fortran"
     assert len(default["files"]) == 21
@@ -202,11 +222,23 @@ def test_fem_output_does_not_depend_on_the_lapack_source():
     assert dict(fallback, lapack="function") == default
 
 
+@pytest.mark.parametrize(
+    "script", [_CLOSED_FORM_RUNS, f"{_FEM_ARGV}\n{_FEM_OUTPUTS}"], ids=["closed-form", "fem"]
+)
+def test_the_scripts_leave_the_temp_directory_as_they_found_it(script, tmp_path):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    proc = _run_python(script, work=tmp_path, TMPDIR=str(temp))
+    assert proc.returncode == 0, proc.stderr
+    assert list(temp.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["fem", "study"])
-def test_without_either_lapack_fem_is_an_error_line(command):
+def test_without_either_lapack_fem_is_an_error_line(command, tmp_path):
     proc = _run_python(
         f"{_FEM_ARGV}\n{HIDE_NUMPY_LAPACK}\nsys.modules['scipy'] = None\n"
-        f"from globtop import cli\nraise SystemExit(cli.main({command}))"
+        f"from globtop import cli\nraise SystemExit(cli.main({command}))",
+        work=tmp_path,
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -266,6 +298,23 @@ def test_a_material_name_utf8_cannot_encode_is_an_input_error(capsys, tmp_path, 
     assert len(err.splitlines()) == 1
     assert "cannot be encoded as UTF-8" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json", "study.json"]
+
+
+@pytest.mark.parametrize("command", ["study", "anova"])
+def test_an_input_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"profile_points": 5}\xff\n')
+    argv = {
+        "study": ["study", "--config", str(bad), "--out", str(tmp_path / "out")],
+        "anova": ["anova", "--responses", str(bad)],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: cannot read ")
+    assert len(err.splitlines()) == 1
+    assert "can't decode byte 0xff" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad"]
 
 
 class TestGeometry:

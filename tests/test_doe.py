@@ -1,4 +1,3 @@
-import dataclasses
 import io
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 import globtop as gt
 from globtop.errors import ConfigError, ResponderError
 
-from .conftest import PLAN_ROWS, SIMULATED_UM
+from .conftest import PLAN_ROWS, SIMULATED_UM, replaced
 
 EXPECTED_CODES = (
     (-1, 1, 1),
@@ -129,7 +128,7 @@ class TestPlan:
 
     def test_plan_revalidates_orthogonality(self, plan):
         runs = list(plan.runs)
-        runs[0] = dataclasses.replace(runs[0], codes=(0, 1, 1))
+        runs[0] = replaced(runs[0], codes=(0, 1, 1))
         with pytest.raises(ConfigError):
             gt.ExperimentPlan(factors=plan.factors, runs=tuple(runs))
 

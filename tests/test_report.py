@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import fnmatch
 import itertools
 import json
@@ -20,7 +19,7 @@ from globtop.report import (
 )
 from globtop.svgplot import Series, line_plot
 
-from .conftest import CALCULATED_UM, SIMULATED_UM
+from .conftest import CALCULATED_UM, SIMULATED_UM, replaced
 
 FULL_CONFIG = {
     "sources": ["analytical", "fem", "external"],
@@ -141,6 +140,16 @@ class TestParseConfig:
             {"sources": ["analytical"], "profile_points": 101, "atm_pa": 101325.0}
         )
         assert explicit.config_hash == parse_config({}).config_hash
+
+    def test_hash_is_pinned(self):
+        # A change to the canonical JSON changes every report's provenance;
+        # these digests must move only on purpose.
+        assert parse_config({}).config_hash == (
+            "cd5779d816a359de12a90c0ed3a0378052b4316c2e34a0051e9c57068f3332cc"
+        )
+        assert parse_config(FULL_CONFIG).config_hash == (
+            "11575e8d74174bf0b2224b3605665372d044fdecbd77424228dedb2ef53ad3ac"
+        )
 
     def test_hash_tracks_content(self):
         base = parse_config({})
@@ -409,7 +418,7 @@ class TestRunStudy:
         two = gt.MaterialLibrary(
             materials=(gt.Material("a", 1.0, 0.3), gt.Material("b", 2.0, 0.3))
         )
-        config = dataclasses.replace(parse_config(FULL_CONFIG), library=two)
+        config = replaced(parse_config(FULL_CONFIG), library=two)
         with pytest.raises(StageError) as err:
             run_study(config, out)
         assert err.value.stage == "plan"

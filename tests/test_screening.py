@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -8,6 +7,7 @@ import globtop as gt
 from globtop import shell_model
 from globtop.errors import ConfigError, InputDomainError
 
+from .conftest import replaced
 from .oracles import bisect_root
 
 T_MIN_ANALYTICAL = {
@@ -438,7 +438,7 @@ class TestScreenExternal:
     def test_non_negative_slope_with_feasible_thin_end(
         self, library, reference_cap, criteria, external_fit
     ):
-        flat = dataclasses.replace(external_fit, thickness_slope_per_um=0.1)
+        flat = replaced(external_fit, thickness_slope_per_um=0.1)
         verdicts = gt.screen(library, reference_cap, criteria, "external", fit=flat)
         assert all(v.min_feasible_thickness_um == 0.0 for v in verdicts)
         assert all(v.classification == "pass" for v in verdicts)
@@ -446,7 +446,7 @@ class TestScreenExternal:
     def test_non_negative_slope_with_no_feasible_thickness(
         self, library, reference_cap, criteria, external_fit
     ):
-        hopeless = dataclasses.replace(
+        hopeless = replaced(
             external_fit,
             thickness_slope_per_um=0.0,
             material_means=(1000.0, 1000.0, 1000.0),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -8,7 +7,7 @@ import globtop as gt
 from globtop.errors import FitError, InputDomainError
 from globtop.stats import effects_to_csv_text, effects_to_json
 
-from .conftest import PLAN_ROWS, SIMULATED_UM
+from .conftest import PLAN_ROWS, SIMULATED_UM, replaced
 from .oracles import f_upper_tail_quad
 
 # Pooled decomposition of the reference simulated column, as published:
@@ -239,8 +238,7 @@ class TestScreeningFit:
         )
         results = list(gt.realize_responses(plan, [rng.uniform(1.0, 40.0) for _ in range(9)]))
         fields = [
-            f.name for f in dataclasses.fields(gt.ScreeningFit)
-            if f.name not in ("responses", "fitted")
+            name for name in gt.ScreeningFit._fields if name not in ("responses", "fitted")
         ]
         want = gt.fit_screening_model(results)
         for _ in range(50):
@@ -256,26 +254,26 @@ class TestFitValidation:
 
     def test_non_finite_response(self, external_results):
         bad = list(external_results)
-        bad[3] = dataclasses.replace(bad[3], response_um=math.nan)
+        bad[3] = replaced(bad[3], response_um=math.nan)
         with pytest.raises(FitError, match="finite"):
             gt.fit_screening_model(bad)
 
     def test_four_thickness_levels(self, external_results):
         bad = list(external_results)
-        bad[0] = dataclasses.replace(bad[0], thickness_um=240.0)
+        bad[0] = replaced(bad[0], thickness_um=240.0)
         with pytest.raises(FitError, match="thickness_um"):
             gt.fit_screening_model(bad)
 
     def test_unbalanced_material_column(self, external_results):
         bad = list(external_results)
-        bad[0] = dataclasses.replace(bad[0], material_name="Parylene C")
+        bad[0] = replaced(bad[0], material_name="Parylene C")
         with pytest.raises(FitError, match="unbalanced"):
             gt.fit_screening_model(bad)
 
     def test_balanced_but_non_orthogonal(self, external_results):
         bad = list(external_results)
-        bad[0] = dataclasses.replace(bad[0], thickness_um=150.0)
-        bad[1] = dataclasses.replace(bad[1], thickness_um=250.0)
+        bad[0] = replaced(bad[0], thickness_um=150.0)
+        bad[1] = replaced(bad[1], thickness_um=250.0)
         with pytest.raises(FitError, match="orthogonal"):
             gt.fit_screening_model(bad)
 
@@ -315,13 +313,13 @@ class TestEffectTests:
         assert by_p.source == "material"
 
     def test_degenerate_zero_residual(self, external_fit):
-        frozen = dataclasses.replace(external_fit, ss_residual=0.0)
+        frozen = replaced(external_fit, ss_residual=0.0)
         mat, thick, press = gt.effect_tests(frozen)
         assert mat.degenerate and thick.degenerate and press.degenerate
         assert mat.f == math.inf and mat.p == 0.0
 
     def test_degenerate_zero_signal_and_zero_residual(self, external_fit):
-        frozen = dataclasses.replace(
+        frozen = replaced(
             external_fit, ss_residual=0.0, ss_material=0.0
         )
         mat = gt.effect_tests(frozen)[0]

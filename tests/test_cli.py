@@ -65,9 +65,12 @@ class TestTopLevel:
         assert "globtop" in proc.stdout
 
 
-_LOADED_NUMPY_OR_SCIPY = (
-    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-)
+def _print_loaded(*packages):
+    """A script line printing the loaded modules of the top-level ``packages``."""
+    return f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+
+
+_LOADED_NUMPY_OR_SCIPY = _print_loaded("numpy", "scipy")
 # Scripts that need a work directory take it as sys.argv[1] (_run_python's ``work``).
 _CLOSED_FORM_RUNS = """
 import contextlib, io, json, pathlib, sys
@@ -107,34 +110,25 @@ def _run_python(script, *flags, work=None, **env):
     ids=["package", "cli", "closed-form-commands"],
 )
 def test_closed_form_paths_leave_numpy_and_scipy_out(script, tmp_path):
-    proc = _run_python(f"{script}\n{_LOADED_NUMPY_OR_SCIPY}", work=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
-    # -S keeps site's .pth files from importing importlib.resources first.
+    # Nor dataclasses and inspect: the value classes are Records.
     proc = _run_python(
-        "import contextlib, io, sys\nfrom globtop import cli\n"
-        "argv = ['deflect', '--material', 'Polyimide', '--thickness-um', '150', '--pressure-atm', '80']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in ('globtop.doe', 'globtop.screening', 'importlib.resources')"
-        " if m in sys.modules))",
-        "-S",
+        f"{script}\n{_print_loaded('numpy', 'scipy', 'dataclasses', 'inspect')}", work=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_closed_form_commands_load_neither_dataclasses_nor_inspect_nor_typing(tmp_path):
-    # The value classes are Records, and typing is imported only for type
-    # checkers.  -S keeps site's .pth files from importing typing first.
+def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
+    # Nor typing, which the value modules import only for type checkers.  -S
+    # keeps site's .pth files from importing importlib.resources and typing first.
     proc = _run_python(
-        f"{_CLOSED_FORM_RUNS}\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))",
+        "import contextlib, io, sys\nfrom globtop import cli\n"
+        "argv = ['deflect', '--material', 'Polyimide', '--thickness-um', '150', '--pressure-atm', '80']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in ('globtop.doe', 'globtop.screening', 'importlib.resources',"
+        " 'typing') if m in sys.modules))",
         "-S",
-        work=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -201,6 +195,7 @@ print(json.dumps({
 
 
 def _fem_outputs(work, prelude=""):
+    work.mkdir()
     proc = _run_python(f"{_FEM_ARGV}\n{prelude}\n{_FEM_OUTPUTS}", work=work)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -209,10 +204,10 @@ def _fem_outputs(work, prelude=""):
 def test_fem_output_does_not_depend_on_the_lapack_source(tmp_path):
     # numpy's LAPACK, bound as Python functions, by default and with scipy
     # hidden; with numpy's symbols hidden, scipy's f2py extension.  All three print the same bytes
-    # and write the same files.
-    default = _fem_outputs(tmp_path)
-    without_scipy = _fem_outputs(tmp_path, "sys.modules['scipy'] = None")
-    fallback = _fem_outputs(tmp_path, HIDE_NUMPY_LAPACK)
+    # and write the same files, each run into its own empty directory.
+    default = _fem_outputs(tmp_path / "default")
+    without_scipy = _fem_outputs(tmp_path / "no_scipy", "sys.modules['scipy'] = None")
+    fallback = _fem_outputs(tmp_path / "fallback", HIDE_NUMPY_LAPACK)
     assert default["lapack"] == without_scipy["lapack"] == "function"
     assert fallback["lapack"] == "fortran"
     assert len(default["files"]) == 21

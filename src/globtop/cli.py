@@ -13,13 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    GlobtopError,
-    InputDomainError,
-    MeshError,
-    StageError,
-)
+from .errors import ConfigError, GlobtopError, InputDomainError, MeshError, StageError, choice, number
 from .geometry import REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
 from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_deflection, profile
@@ -41,26 +35,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+# The geometry flags, by the config key each one gives.
+_GEOMETRY_FLAGS = {
+    "base_half_width_um": "--b-um",
+    "rise_um": "--h-um",
+    "radius_um": "--radius-um",
+    "base_angle_deg": "--angle-deg",
+}
+
+
 def _build_parser() -> _Parser:
+    # Flags that a study config also sets default to None: the command then
+    # takes the config's default.
     parser = _Parser(prog="globtop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"globtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_cap(p):
+        for key, flag in _GEOMETRY_FLAGS.items():
+            p.add_argument(flag, type=float, dest=key, help=f"the cap's {key}")
+
+    def add_library(p):
         p.add_argument("--materials", help="material library JSON (default: bundled)")
+
+    def add_common(p):
+        add_library(p)
         p.add_argument("--material", help="material name from the library")
-        p.add_argument("--atm-pa", type=float, default=ATM_PA,
-                       help="pascals per atmosphere (default 101325)")
-        p.add_argument("--radius-um", type=float, help="cap sphere radius, um")
-        p.add_argument("--angle-deg", type=float, help="cap base angle, degrees")
-        p.add_argument("--b-um", type=float, help="cap base half-width, um")
-        p.add_argument("--h-um", type=float, help="cap apex rise, um")
+        p.add_argument("--atm-pa", type=float, help=f"pascals per atmosphere (default {ATM_PA:g})")
+        add_cap(p)
 
     p_geo = sub.add_parser("geometry", help="solve the cap geometry")
-    p_geo.add_argument("--b-um", type=float, help="base half-width, um")
-    p_geo.add_argument("--h-um", type=float, help="apex rise, um")
-    p_geo.add_argument("--radius-um", type=float)
-    p_geo.add_argument("--angle-deg", type=float)
+    add_cap(p_geo)
     p_geo.add_argument("--format", choices=("text", "json"), default="text")
 
     p_def = sub.add_parser("deflect", help="closed-form deflection of one case")
@@ -73,11 +78,9 @@ def _build_parser() -> _Parser:
     p_def.add_argument("--format", choices=("text", "json"), default="text")
 
     p_plan = sub.add_parser("plan", help="emit the 9-run screening plan")
-    p_plan.add_argument("--materials", help="material library JSON (default: bundled)")
-    p_plan.add_argument("--thickness-levels-um", type=float, nargs=3,
-                        default=[150.0, 200.0, 250.0], metavar="T")
-    p_plan.add_argument("--pressure-levels-atm", type=float, nargs=3,
-                        default=[80.0, 90.0, 100.0], metavar="P")
+    add_library(p_plan)
+    p_plan.add_argument("--thickness-levels-um", type=float, nargs=3, metavar="T")
+    p_plan.add_argument("--pressure-levels-atm", type=float, nargs=3, metavar="P")
     p_plan.add_argument("--out", help="write CSV here instead of stdout")
 
     p_study = sub.add_parser("study", help="run the full screening study")
@@ -90,18 +93,18 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("optimize", help="minimum feasible thickness per material")
     add_common(p_opt)
-    p_opt.add_argument("--limit-um", type=float, default=5.0,
-                       help="apex deflection limit, um (default 5)")
-    p_opt.add_argument("--max-pressure-atm", type=float, default=100.0)
-    p_opt.add_argument("--max-thickness-um", type=float, default=250.0)
+    p_opt.add_argument("--limit-um", type=float, dest="deflection_limit_um",
+                       help="apex deflection limit, um")
+    p_opt.add_argument("--max-pressure-atm", type=float)
+    p_opt.add_argument("--max-thickness-um", type=float)
     p_opt.add_argument("--format", choices=("text", "json"), default="text")
 
     p_fem = sub.add_parser("fem", help="finite element solve of one case")
     add_common(p_fem)
     p_fem.add_argument("--thickness-um", type=float, required=True)
     p_fem.add_argument("--pressure-atm", type=float, required=True)
-    p_fem.add_argument("--n-elements", type=int, default=256)
-    p_fem.add_argument("--bc", choices=("clamped", "pinned"), default="clamped")
+    p_fem.add_argument("--n-elements", type=int)
+    p_fem.add_argument("--bc", help="rim support, as a study config's fem.bc")
     p_fem.add_argument("--converge", action="store_true",
                        help="run a mesh refinement ladder instead of one solve")
     p_fem.add_argument("--out", help="output file for the nodal solution CSV")
@@ -109,21 +112,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The geometry flags, by the config key each one gives.
-_GEOMETRY_FLAGS = {
-    "base_half_width_um": "--b-um",
-    "rise_um": "--h-um",
-    "radius_um": "--radius-um",
-    "base_angle_deg": "--angle-deg",
-}
-
-
 def _geometry_from(args) -> CapGeometry:
-    given = {
-        key: getattr(args, flag[2:].replace("-", "_")) for key, flag in _GEOMETRY_FLAGS.items()
-    }
-    block = {key: value for key, value in given.items() if value is not None}
+    block = {key: getattr(args, key) for key in _GEOMETRY_FLAGS if getattr(args, key) is not None}
     return cap_from_config(block, _GEOMETRY_FLAGS) if block else REFERENCE_GEOMETRY
+
+
+def _atm_pa(args) -> float:
+    return ATM_PA if args.atm_pa is None else number("--atm-pa", args.atm_pa, positive=True)
 
 
 def _library_from(args):
@@ -165,7 +160,7 @@ def _cmd_deflect(args) -> int:
         geometry=geom,
         thickness_um=args.thickness_um,
         material=material,
-        pressure_pa=atm_to_pa(args.pressure_atm, args.atm_pa),
+        pressure_pa=atm_to_pa(args.pressure_atm, _atm_pa(args)),
     )
     apex = apex_deflection(case)
     if args.profile_points > 1:
@@ -186,11 +181,12 @@ def _cmd_deflect(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .doe import default_plan, plan_to_csv
+    from .doe import PRESSURE_LEVELS_ATM, THICKNESS_LEVELS_UM, default_plan, plan_levels, plan_to_csv
 
     library = _library_from(args)
-    plan = default_plan(library, args.thickness_levels_um, args.pressure_levels_atm)
-    plan_to_csv(plan, args.out or sys.stdout)
+    thickness = plan_levels("--thickness-levels-um", args.thickness_levels_um or THICKNESS_LEVELS_UM, True)
+    pressure = plan_levels("--pressure-levels-atm", args.pressure_levels_atm or PRESSURE_LEVELS_ATM, False)
+    plan_to_csv(default_plan(library, thickness, pressure), args.out or sys.stdout)
     return 0
 
 
@@ -255,12 +251,9 @@ def _cmd_optimize(args) -> int:
         library = MaterialLibrary(materials=(_material_from(args),))
     else:
         library = _library_from(args)
-    criteria = ScreeningCriteria(
-        deflection_limit_um=args.limit_um,
-        max_pressure_atm=args.max_pressure_atm,
-        max_thickness_um=args.max_thickness_um,
-    )
-    verdicts = screen(library, geom, criteria, "analytical", atm_pa=args.atm_pa)
+    given = {key: getattr(args, key) for key in ScreeningCriteria._fields if key in args}
+    criteria = ScreeningCriteria(**{key: value for key, value in given.items() if value is not None})
+    verdicts = screen(library, geom, criteria, "analytical", atm_pa=_atm_pa(args))
     if args.format == "json":
         print(json.dumps([
             {"material": v.material_name, "min_feasible_thickness_um": v.min_feasible_thickness_um,
@@ -275,21 +268,23 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fem(args) -> int:
-    from .screening import FEM_MAX_ELEMENTS
+    from .screening import BOUNDARY_CONDITIONS, FEM_ELEMENTS, FEM_MAX_ELEMENTS
 
-    if args.n_elements > FEM_MAX_ELEMENTS:
+    n_elements = FEM_ELEMENTS if args.n_elements is None else args.n_elements
+    if n_elements > FEM_MAX_ELEMENTS:
         raise InputDomainError(
             f"--n-elements must be at most {FEM_MAX_ELEMENTS}, past which roundoff"
-            f" swamps the discretization error, got {args.n_elements}"
+            f" swamps the discretization error, got {n_elements}"
         )
+    bc = BOUNDARY_CONDITIONS[0] if args.bc is None else choice(BOUNDARY_CONDITIONS, "--bc", args.bc)
     from .fem import converge, mesh_cap, solve_case
 
     geom = _geometry_from(args)
     material = _material_from(args)
-    p_pa = atm_to_pa(args.pressure_atm, args.atm_pa)
+    p_pa = atm_to_pa(args.pressure_atm, _atm_pa(args))
     if args.converge:
         report = converge(
-            geom, args.thickness_um, material, p_pa, bc=args.bc, n_start=max(4, args.n_elements // 8)
+            geom, args.thickness_um, material, p_pa, bc=bc, n_start=max(4, n_elements // 8)
         )
         for n, apex in zip(report.levels, report.apex_um):
             print(f"n = {n:5d}: apex = {apex:.6f} um")
@@ -299,10 +294,10 @@ def _cmd_fem(args) -> int:
         if not report.contraction:
             print("warning: ladder is not contracting monotonically", file=sys.stderr)
         return 0
-    mesh = mesh_cap(geom, args.n_elements)
-    sol = solve_case(mesh, args.thickness_um, material, p_pa, args.bc)
+    mesh = mesh_cap(geom, n_elements)
+    sol = solve_case(mesh, args.thickness_um, material, p_pa, bc)
     print(f"{material.name}: t = {args.thickness_um:g} um, P = {args.pressure_atm:g} atm, "
-          f"{args.bc} rim, {args.n_elements} elements")
+          f"{bc} rim, {n_elements} elements")
     print(f"apex deflection   = {sol.apex_deflection_um:.6f} um")
     print(f"rim reaction      = {sol.rim_reaction_vertical_n:.6e} N "
           f"(applied {sol.applied_vertical_load_n:.6e} N, "

@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from .errors import ConfigError, InputDomainError, Record, ResponderError
+from .errors import ConfigError, Record, ResponderError, numbers, read_text
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase
@@ -156,16 +156,30 @@ def build_l9(
     return ExperimentPlan(factors=(materials, thickness_um, pressure_atm), runs=tuple(runs))
 
 
+THICKNESS_LEVELS_UM = (150.0, 200.0, 250.0)
+PRESSURE_LEVELS_ATM = (80.0, 90.0, 100.0)
+
+
+def plan_levels(name: str, levels, positive: bool) -> tuple[float, float, float]:
+    """Three increasing levels, > 0 if ``positive`` (thickness), else >= 0
+    (pressure: a case may carry no load).  A ConfigError names ``name``."""
+    low, mid, high = numbers(3, name, levels)
+    if not (0.0 < low if positive else 0.0 <= low) or not low < mid < high:
+        sign = "positive" if positive else "non-negative"
+        raise ConfigError(f"{name} must be strictly increasing and {sign}, got {list(levels)}")
+    return low, mid, high
+
+
 def default_plan(
     library: MaterialLibrary,
-    thickness_levels_um: Sequence[float] = (150.0, 200.0, 250.0),
-    pressure_levels_atm: Sequence[float] = (80.0, 90.0, 100.0),
+    thickness_levels_um: Sequence[float] = THICKNESS_LEVELS_UM,
+    pressure_levels_atm: Sequence[float] = PRESSURE_LEVELS_ATM,
 ) -> ExperimentPlan:
     """The standard screening plan over a 3-material library."""
     return build_l9(
         material_factor(library),
-        Factor("thickness_um", tuple(float(v) for v in thickness_levels_um), "continuous"),
-        Factor("pressure_atm", tuple(float(v) for v in pressure_levels_atm), "continuous"),
+        Factor("thickness_um", plan_levels("thickness_levels_um", thickness_levels_um, True), "continuous"),
+        Factor("pressure_atm", plan_levels("pressure_levels_atm", pressure_levels_atm, False), "continuous"),
     )
 
 
@@ -292,12 +306,7 @@ def results_to_csv(results: Sequence[RunResult], target: str | Path | IO[str]) -
 
 def read_responses_csv(path: str | Path) -> tuple[RunResult, ...]:
     """Read a response table written by results_to_csv (or a compatible file)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read responses file {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(read_text(path, "responses file")))
     required = set(_RESPONSE_HEADER) - {"source"}
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise ConfigError(

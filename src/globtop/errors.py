@@ -3,15 +3,18 @@
 Everything raised deliberately by this package derives from GlobtopError, so
 callers can catch one type at the CLI boundary.  Validation problems are also
 ValueErrors, numerical failures are not.  ``real`` is the one check that a
-value is a number, shared by the config schema and the domain constructors.
-``Record`` is the base of the package's immutable value classes; it lives
-here because every module that defines one already imports this module.
+value is a number, shared by the input schema and the domain constructors.
+The schema, ``resolve`` and its row validators, reads study configs, their
+geometry blocks and material libraries alike.  ``Record`` is the base of the
+package's immutable value classes.  Both live here because every module that
+defines a value class or a schema table already imports this module.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Mapping
+from numbers import Real
 
 
 class GlobtopError(Exception):
@@ -62,7 +65,7 @@ def real(name: str, value, *, finite: bool = True, error: type = InputDomainErro
     ``finite=False`` lets inf and NaN through to a caller that checks them.
     """
     try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, Real) and not isinstance(value, bool):
             number = float(value)
             if not finite or math.isfinite(number):
                 return number
@@ -70,6 +73,86 @@ def real(name: str, value, *, finite: bool = True, error: type = InputDomainErro
         pass
     kind = "finite number" if finite else "number"
     raise error(f"{name} must be a {kind}, got {value!r}")
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the input file ``path``; a ConfigError names ``what``."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# The input schema.  A table is a tuple of rows (key, validator, default).
+# A validator takes the key's dotted path and its raw value (the default when
+# the key is absent) and returns the resolved value or raises a ConfigError
+# naming the path.  Where a domain constructor checks a value's range, the
+# row checks only the JSON type and ``resolve`` names the key in the range
+# error.
+
+REQUIRED = object()
+"""The default of a row whose key must be given."""
+
+
+def resolve(table, build, path: str, raw):
+    """``build(**resolved)`` for the mapping ``raw`` resolved against ``table``.
+
+    ``path`` is the block's dotted path, "" at the top level.
+    """
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path or 'the top level'} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - {key for key, _, _ in table}
+    if unknown:
+        raise ConfigError(f"{path or 'the top level'} has unknown keys: {sorted(unknown, key=str)}")
+    resolved = {}
+    for key, check, default in table:
+        where = f"{path}.{key}" if path else key
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{where} is required")
+        resolved[key] = _named(where, check, where, value)
+    return _named(path, build, **resolved)
+
+
+def _named(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a range error raised as a ConfigError naming ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except InputDomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def unchecked(path: str, raw):
+    """Any value, for a row whose domain constructor checks it."""
+    return raw
+
+
+def number(path: str, raw, finite: bool = True, positive: bool = False) -> float:
+    value = real(path, raw, finite=finite, error=ConfigError)
+    if positive and value <= 0.0:
+        raise ConfigError(f"{path} must be positive, got {raw!r}")
+    return value
+
+
+def integer(minimum: int, path: str, raw, maximum: int | None = None) -> int:
+    if not number(path, raw).is_integer() or raw < minimum:
+        raise ConfigError(f"{path} must be an integer of at least {minimum}, got {raw!r}")
+    if maximum is not None and raw > maximum:
+        raise ConfigError(f"{path} must be an integer of at most {maximum}, got {raw!r}")
+    return int(raw)
+
+
+def numbers(n: int, path: str, raw) -> tuple[float, ...]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
+        raise ConfigError(f"{path} must be a list of {n} values")
+    return tuple(number(f"{path}[{i}]", v) for i, v in enumerate(raw))
+
+
+def choice(options: tuple[str, ...], path: str, raw) -> str:
+    if raw not in options:
+        raise ConfigError(f"{path} must be one of {', '.join(options)}, got {raw!r}")
+    return raw
 
 
 class Record:

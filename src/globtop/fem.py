@@ -59,7 +59,7 @@ import numpy as np
 from .errors import InputDomainError, MeshError, SolverError
 from .geometry import CapGeometry
 from .materials import Material
-from .screening import FEM_MAX_ELEMENTS
+from .screening import BOUNDARY_CONDITIONS, FEM_MAX_ELEMENTS
 
 HALF_BANDWIDTH = 5
 # 4-point Gauss-Legendre rule on [-1, 1]: the values of
@@ -167,7 +167,7 @@ def _load_flapack():
     raise ImportError(
         "globtop.fem needs LAPACK's dpbtrf and dpbtrs: numpy's LAPACK does not export"
         " them, and scipy, whose LAPACK extension scipy/linalg/_flapack would provide"
-        " them, was not found",
+        " them, was not found; install globtop's scipy extra: pip install 'globtop[scipy]'",
         name="scipy",
     )
 
@@ -182,8 +182,6 @@ def _load_lapack():
 
 
 _PBTRF, _PBTRS = _load_lapack()
-
-BOUNDARY_CONDITIONS = ("clamped", "pinned")
 
 
 @dataclass(frozen=True, eq=False)

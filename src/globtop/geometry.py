@@ -16,7 +16,7 @@ import math
 import warnings
 from collections.abc import Mapping
 
-from .errors import ConfigError, InputDomainError, Record, real
+from .errors import ConfigError, InputDomainError, Record, real, resolve, unchecked
 
 
 class ThinShellWarning(UserWarning):
@@ -128,15 +128,11 @@ def from_radius_angle(radius_um: float, base_angle_deg: float) -> CapGeometry:
     )
 
 
-REFERENCE_GEOMETRY = from_radius_angle(3010.0, 23.5)
-"""Default dome used throughout the package: a 3010 um sphere with a 23.5 deg
-base angle, the rounded form of the 1200 x 250 um reference footprint."""
-
-
 _FORMS = (
     (("base_half_width_um", "rise_um"), solve_cap),
     (("radius_um", "base_angle_deg"), from_radius_angle),
 )
+_KEYS = tuple((key, unchecked, None) for pair, _ in _FORMS for key in pair)
 
 
 def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> CapGeometry:
@@ -148,11 +144,7 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
     the messages of a malformed block, as the command-line flags that gave
     them, for example.
     """
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"geometry block must be a mapping, got {type(block).__name__}")
-    extra = set(block) - {key for pair, _ in _FORMS for key in pair}
-    if extra:
-        raise ConfigError(f"geometry block has unknown keys: {sorted(extra)}")
+    resolve(_KEYS, dict, "geometry", block)  # an object with no other keys
     names = names or {}
     spelled = ["/".join(names.get(key, key) for key in pair) for pair, _ in _FORMS]
     given = [(pair, build) for pair, build in _FORMS if any(key in block for key in pair)]
@@ -166,6 +158,13 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
         first, second = (names.get(key, key) for key in pair)
         raise ConfigError(f"geometry: {first} and {second} must be given together")
     return build(*(block[key] for key in pair))
+
+
+REFERENCE_CAP = {"radius_um": 3010.0, "base_angle_deg": 23.5}
+"""Default dome, as a geometry config block: a 3010 um sphere with a 23.5 deg
+base angle, the rounded form of the 1200 x 250 um reference footprint."""
+
+REFERENCE_GEOMETRY = cap_from_config(REFERENCE_CAP)
 
 
 def thinness_ratio(geometry: CapGeometry, thickness_um: float) -> float:

@@ -4,9 +4,10 @@ Library files are JSON:
 
     {"materials": [{"name": ..., "youngs_modulus_gpa": ..., "poisson_ratio": ...}, ...]}
 
-The modulus is stored in GPa as the float of the value read, so
-serialize/load round-trips are field-exact; physics code uses the
-youngs_modulus_pa property.
+Every key shown is required, and any other key is an error.  The modulus
+is stored in GPa as the float of the value read, so serialize/load
+round-trips are field-exact; physics code uses the youngs_modulus_pa
+property.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from pathlib import Path
 from collections.abc import Iterator
 
-from .errors import ConfigError, InputDomainError, Record, real
+from .errors import REQUIRED, ConfigError, InputDomainError, Record, read_text, real, resolve, unchecked
 from .units import GPA_PA
 
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -56,11 +57,7 @@ class Material(Record):
         return self.youngs_modulus_gpa * GPA_PA
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "youngs_modulus_gpa": self.youngs_modulus_gpa,
-            "poisson_ratio": self.poisson_ratio,
-        }
+        return {key: getattr(self, key) for key in self._fields}
 
 
 class MaterialLibrary(Record):
@@ -112,42 +109,36 @@ class MaterialLibrary(Record):
         return tuple(sorted(self.materials, key=lambda m: m.youngs_modulus_gpa))
 
 
+# The library file's schema; Material checks each entry's values.
+_MATERIAL = tuple((key, unchecked, REQUIRED) for key in Material._fields)
+
+
+def _materials(path: str, raw) -> tuple[Material, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path} must be a list")
+    return tuple(resolve(_MATERIAL, Material, f"{path}[{i}]", entry) for i, entry in enumerate(raw))
+
+
+_LIBRARY = (("materials", _materials, REQUIRED),)
+
+
+def library_block(path: str, raw) -> MaterialLibrary:
+    """The library that the mapping ``raw``, at dotted path ``path``, describes."""
+    return resolve(_LIBRARY, MaterialLibrary, path, raw)
+
+
 def load_library(text: str) -> MaterialLibrary:
     """Parse a material library from JSON text."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"material library is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "materials" not in doc:
-        raise ConfigError('material library must be an object with a "materials" list')
-    entries = doc["materials"]
-    if not isinstance(entries, list):
-        raise ConfigError('"materials" must be a list')
-    materials = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"materials[{i}] must be an object")
-        missing = {"name", "youngs_modulus_gpa", "poisson_ratio"} - set(entry)
-        if missing:
-            raise ConfigError(f"materials[{i}] is missing {sorted(missing)}")
-        extra = set(entry) - {"name", "youngs_modulus_gpa", "poisson_ratio"}
-        if extra:
-            raise ConfigError(f"materials[{i}] has unknown keys {sorted(extra)}")
-        try:
-            materials.append(Material(**entry))
-        except InputDomainError as exc:
-            raise ConfigError(f"materials[{i}]: {exc}") from exc
-    return MaterialLibrary(materials=tuple(materials))
+    return library_block("", doc)
 
 
 def load_library_file(path: str | Path) -> MaterialLibrary:
     """Load a material library from a JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot read material library {path}: {exc}") from exc
-    return load_library(text)
+    return load_library(read_text(path, "material library"))
 
 
 def serialize_library(library: MaterialLibrary) -> str:

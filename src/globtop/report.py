@@ -27,17 +27,22 @@ from pathlib import Path
 
 from . import __version__
 from .doe import (
+    PRESSURE_LEVELS_ATM,
+    THICKNESS_LEVELS_UM,
     ExperimentPlan,
     RunResult,
     default_plan,
+    plan_levels,
     plan_to_csv,
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, InputDomainError, Record, StageError, real
-from .geometry import CapGeometry, cap_from_config
-from .materials import MaterialLibrary, default_library, load_library, load_library_file
+from .errors import ConfigError, Record, StageError, choice, integer, number, numbers, read_text, resolve
+from .geometry import REFERENCE_CAP, CapGeometry, cap_from_config
+from .materials import MaterialLibrary, default_library, library_block, load_library_file
 from .screening import (
+    BOUNDARY_CONDITIONS,
+    FEM_ELEMENTS,
     FEM_MAX_ELEMENTS,
     ScreeningCriteria,
     SOURCES,
@@ -83,66 +88,11 @@ class StudyConfig(Record):
     config_hash: str
 
 
-# The config schema.  Each block is a table of rows (key, validator, default).
-# A validator takes the key's dotted path and its raw value (the default when
-# the key is absent) and returns the resolved value or raises a ConfigError
-# naming the path.  Where a domain constructor checks a value's range, the
-# row checks only the JSON type and _block names the key in the range error.
-
-
-def _block(table, raw, path: str = "") -> dict:
-    """Resolve the mapping ``raw`` against ``table``: key -> resolved value."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{path or 'config'} must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - {key for key, _, _ in table}
-    if unknown:
-        raise ConfigError(f"{path or 'config'} has unknown keys: {sorted(unknown, key=str)}")
-    resolved = {}
-    for key, check, default in table:
-        where = f"{path}.{key}" if path else key
-        try:
-            resolved[key] = check(where, raw.get(key, default))
-        except InputDomainError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return resolved
-
-
-def _number(path: str, raw, finite: bool = True, positive: bool = False) -> float:
-    value = real(path, raw, finite=finite, error=ConfigError)
-    if positive and value <= 0.0:
-        raise ConfigError(f"{path} must be positive, got {raw!r}")
-    return value
-
-
-def _integer(minimum: int, path: str, raw, maximum: int | None = None) -> int:
-    if not _number(path, raw).is_integer() or raw < minimum:
-        raise ConfigError(f"{path} must be an integer of at least {minimum}, got {raw!r}")
-    if maximum is not None and raw > maximum:
-        raise ConfigError(f"{path} must be an integer of at most {maximum}, got {raw!r}")
-    return int(raw)
-
-
-def _numbers(n: int, path: str, raw) -> tuple[float, ...]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != n:
-        raise ConfigError(f"{path} must be a list of {n} values")
-    return tuple(_number(f"{path}[{i}]", v) for i, v in enumerate(raw))
-
-
-def _levels(path: str, raw) -> tuple[float, float, float]:
-    levels = _numbers(3, path, raw)
-    if not levels[0] < levels[1] < levels[2]:
-        raise ConfigError(f"{path} must be strictly increasing")
-    return levels
+# The study config's schema, in the tables of ``errors.resolve``.
 
 
 def _column(path: str, raw) -> tuple[float, ...] | None:
-    return None if raw is None else _numbers(9, path, raw)
-
-
-def _bc(path: str, raw) -> str:
-    if raw not in ("clamped", "pinned"):
-        raise ConfigError(f"{path} must be clamped or pinned, got {raw!r}")
-    return raw
+    return None if raw is None else numbers(9, path, raw)
 
 
 def _sources(path: str, raw) -> tuple[str, ...]:
@@ -161,10 +111,8 @@ def _library(base_dir: Path | None, path: str, raw) -> MaterialLibrary:
         library = default_library()
     elif isinstance(raw, str):
         library = load_library_file(Path(base_dir or ".") / raw)
-    elif isinstance(raw, Mapping):
-        library = load_library(json.dumps(raw))
     else:
-        raise ConfigError(f"{path} must be a path or an inline library object")
+        library = library_block(path, raw)
     if len(library) != 3:
         raise ConfigError(
             f"{path} must hold exactly 3 materials, one per plan level, got {len(library)}"
@@ -173,33 +121,32 @@ def _library(base_dir: Path | None, path: str, raw) -> MaterialLibrary:
 
 
 _CRITERIA = (
-    ("deflection_limit_um", partial(_number, finite=False), ScreeningCriteria.deflection_limit_um),
-    ("max_pressure_atm", _number, ScreeningCriteria.max_pressure_atm),
-    ("max_thickness_um", _number, ScreeningCriteria.max_thickness_um),
-    ("thickness_range_um", partial(_numbers, 2), ScreeningCriteria.thickness_range_um),
-    ("pressure_range_atm", partial(_numbers, 2), ScreeningCriteria.pressure_range_atm),
-    ("marginal_band", _number, ScreeningCriteria.marginal_band),
+    ("deflection_limit_um", partial(number, finite=False), ScreeningCriteria.deflection_limit_um),
+    ("max_pressure_atm", number, ScreeningCriteria.max_pressure_atm),
+    ("max_thickness_um", number, ScreeningCriteria.max_thickness_um),
+    ("thickness_range_um", partial(numbers, 2), ScreeningCriteria.thickness_range_um),
+    ("pressure_range_atm", partial(numbers, 2), ScreeningCriteria.pressure_range_atm),
+    ("marginal_band", number, ScreeningCriteria.marginal_band),
 )
 _EXTERNAL = (("simulated_um", _column, None), ("calculated_um", _column, None))
 _FEM = (
-    ("n_elements", partial(_integer, 4, maximum=FEM_MAX_ELEMENTS), 256),
-    ("bc", _bc, "clamped"),
+    ("n_elements", partial(integer, 4, maximum=FEM_MAX_ELEMENTS), FEM_ELEMENTS),
+    ("bc", partial(choice, BOUNDARY_CONDITIONS), BOUNDARY_CONDITIONS[0]),
 )
 
 
 def _study_table(base_dir: Path | None) -> tuple:
     return (
-        ("geometry", lambda _, raw: cap_from_config(raw),
-         {"radius_um": 3010.0, "base_angle_deg": 23.5}),
+        ("geometry", lambda _, raw: cap_from_config(raw), REFERENCE_CAP),
         ("materials", partial(_library, base_dir), None),
-        ("thickness_levels_um", _levels, (150.0, 200.0, 250.0)),
-        ("pressure_levels_atm", _levels, (80.0, 90.0, 100.0)),
-        ("criteria", lambda path, raw: ScreeningCriteria(**_block(_CRITERIA, raw, path)), {}),
+        ("thickness_levels_um", partial(plan_levels, positive=True), THICKNESS_LEVELS_UM),
+        ("pressure_levels_atm", partial(plan_levels, positive=False), PRESSURE_LEVELS_ATM),
+        ("criteria", partial(resolve, _CRITERIA, ScreeningCriteria), {}),
         ("sources", _sources, ("analytical",)),
-        ("external", lambda path, raw: _block(_EXTERNAL, raw, path), {}),
-        ("fem", lambda path, raw: _block(_FEM, raw, path), {}),
-        ("atm_pa", partial(_number, positive=True), ATM_PA),
-        ("profile_points", partial(_integer, 2, maximum=MAX_PROFILE_POINTS), 101),
+        ("external", partial(resolve, _EXTERNAL, dict), {}),
+        ("fem", partial(resolve, _FEM, dict), {}),
+        ("atm_pa", partial(number, positive=True), ATM_PA),
+        ("profile_points", partial(integer, 2, maximum=MAX_PROFILE_POINTS), 101),
     )
 
 
@@ -214,7 +161,7 @@ def _jsonable(value):
 
 def parse_config(doc: Mapping, base_dir: Path | None = None) -> StudyConfig:
     """Validate and resolve a config mapping into a StudyConfig."""
-    resolved = _block(_study_table(base_dir), doc)
+    resolved = resolve(_study_table(base_dir), dict, "", doc)
     external, fem = resolved["external"], resolved["fem"]
     if "external" in resolved["sources"] and external["simulated_um"] is None:
         raise ConfigError('source "external" requires external.simulated_um')
@@ -239,11 +186,7 @@ def parse_config(doc: Mapping, base_dir: Path | None = None) -> StudyConfig:
 def parse_config_file(path: str | Path) -> StudyConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return parse_config(doc, base_dir=path.parent)

@@ -160,8 +160,11 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
 # benchmark's fem_ladder workload, every 64-512 ladder contracted, with
 # observed orders 1.65-2.50 where the 32-256 ladders give 1.98-2.01; 45 of
 # the 128-1024 ladders did not contract.  Defined here, not in ``fem``, so
-# that the config schema checks it without loading numpy.
+# that the config schema checks it without loading numpy, as are the default
+# mesh and the rim supports, the first of which is the default.
 FEM_MAX_ELEMENTS = 512
+FEM_ELEMENTS = 256
+BOUNDARY_CONDITIONS = ("clamped", "pinned")
 
 
 def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
@@ -336,25 +339,23 @@ def screen(
     fit: ScreeningFit | None = None,
     atm_pa: float = ATM_PA,
     fem_bc: str = "clamped",
-    fem_elements: int = 96,
     fem_mesh: ShellMesh | None = None,
 ) -> tuple[Verdict, ...]:
     """Screen every library material under one response source.
 
     Verdicts are sorted by minimum feasible thickness, best material first,
     with the material name breaking exact ties deterministically.  The
-    external source needs the ``fit`` of the external response column.  The
-    fem source solves on ``fem_mesh``, a mesh of ``geometry``, when one is
-    given, and otherwise on a new mesh of ``fem_elements`` elements.
+    external source needs the ``fit`` of the external response column, and
+    the fem source ``fem_mesh``, a mesh of ``geometry``.
     """
     if source not in SOURCES:
         raise ConfigError(f"source must be one of {SOURCES}, got {source!r}")
     if source == "external" and fit is None:
         raise ConfigError("external screening requires a fitted screening model")
+    if source == "fem" and fem_mesh is None:
+        raise ConfigError("fem screening requires a mesh of the geometry")
     p_max = atm_to_pa(criteria.max_pressure_atm, atm_pa)
     limit = criteria.deflection_limit_um
-    if source == "fem":
-        mesh = fem_mesh if fem_mesh is not None else mesh_cap(geometry, fem_elements)
     verdicts = []
     for mat in library:
         if source == "analytical":
@@ -363,8 +364,8 @@ def screen(
                 ShellCase(geometry, criteria.max_thickness_um, mat, p_max)
             )
         elif source == "fem":
-            t_min = _fem_min_thickness(mat, geometry, mesh, p_max, limit, fem_bc)
-            worst = solve_case(mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
+            t_min = _fem_min_thickness(mat, geometry, fem_mesh, p_max, limit, fem_bc)
+            worst = solve_case(fem_mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
         else:
             t_min = _fit_min_thickness(fit, mat.name, criteria)
             worst = fit.predict(

@@ -312,6 +312,9 @@ def test_an_input_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, comm
     assert [p.name for p in tmp_path.iterdir()] == ["bad"]
 
 
+_FEM_CASE = ["fem", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"]
+
+
 class TestGeometry:
     def test_solve_from_chord(self, capsys):
         code, out, _ = run_cli(capsys, "geometry", "--b-um", "1200", "--h-um", "250")
@@ -348,14 +351,23 @@ class TestGeometry:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--angle-deg", "20"], "--radius-um and --angle-deg must be given together"),
-            (["--h-um", "250", "--angle-deg", "20"], "give either --b-um/--h-um or"),
+            ([*_FEM_CASE, "--angle-deg", "20"], "--radius-um and --angle-deg must be given together"),
+            ([*_FEM_CASE, "--h-um", "250", "--angle-deg", "20"], "give either --b-um/--h-um or"),
+            # Not only the geometry flags: every rejected flag is named.
+            (["deflect", *_FEM_CASE[1:], "--atm-pa", "0"], "--atm-pa must be positive, got 0.0"),
+            (["deflect", *_FEM_CASE[1:], "--atm-pa", "-1"], "--atm-pa must be positive, got -1.0"),
+            (["optimize", "--atm-pa", "0"], "--atm-pa must be positive, got 0.0"),
+            ([*_FEM_CASE, "--atm-pa", "0"], "--atm-pa must be positive, got 0.0"),
+            ([*_FEM_CASE, "--atm-pa", "nan"], "--atm-pa must be a finite number"),
+            ([*_FEM_CASE, "--bc", "taped"], "--bc must be one of clamped, pinned, got 'taped'"),
+            (["plan", "--thickness-levels-um", "-10", "0", "10"], "--thickness-levels-um must be"),
+            (["plan", "--pressure-levels-atm", "-1", "0", "1"], "--pressure-levels-atm must be"),
         ],
     )
     def test_form_errors_name_the_flags(self, capsys, argv, message):
-        code, _, err = run_cli(capsys, "fem", "--material", "Polyimide", "--thickness-um",
-                               "150", "--pressure-atm", "80", *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
+        assert out == ""
         assert len(err.splitlines()) == 1
         assert message in err
 

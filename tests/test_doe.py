@@ -113,6 +113,24 @@ class TestPlan:
             assert spec.thickness_um == t_levels[ct + 1]
             assert spec.pressure_atm == p_levels[cp + 1]
 
+    @pytest.mark.parametrize(
+        "thickness, pressure, message",
+        [
+            ((150.0, 200.0, 250.0), (0.0, 10.0, 20.0), None),
+            ((0.0, 100.0, 200.0), (80.0, 90.0, 100.0), "thickness_levels_um must be"),
+            ((-10.0, 0.0, 10.0), (80.0, 90.0, 100.0), "thickness_levels_um must be"),
+            ((150.0, 200.0, 250.0), (-1.0, 0.0, 1.0), "pressure_levels_atm must be"),
+        ],
+    )
+    def test_thickness_levels_are_positive_and_pressure_levels_non_negative(
+        self, library, thickness, pressure, message
+    ):
+        if message is None:
+            assert gt.default_plan(library, thickness, pressure).runs[0].pressure_atm == 20.0
+        else:
+            with pytest.raises(ConfigError, match=message):
+                gt.default_plan(library, thickness, pressure)
+
     def test_runs_numbered_one_to_nine(self, plan):
         assert [r.run for r in plan.runs] == list(range(1, 10))
 

@@ -131,6 +131,14 @@ class TestLoadLibrary:
         with pytest.raises(ConfigError, match="unknown"):
             gt.load_library(json.dumps(doc))
 
+    def test_unknown_top_level_key(self):
+        doc = {
+            "materials": [{"name": "x", "youngs_modulus_gpa": 1.0, "poisson_ratio": 0.3}],
+            "colour": "red",
+        }
+        with pytest.raises(ConfigError, match=r"unknown keys: \['colour'\]"):
+            gt.load_library(json.dumps(doc))
+
     def test_entry_bad_value_reports_index(self):
         doc = {
             "materials": [

@@ -229,6 +229,13 @@ class TestParseConfig:
             ({"materials": _library_doc(True, 2.0, 3.0)}, "youngs_modulus_gpa"),
             ({"fem": {"n_elements": 513}}, "fem.n_elements must be an integer of at most 512"),
             ({"profile_points": 10_002}, "profile_points must be an integer of at most 10001"),
+            (
+                {"materials": {**_library_doc(1.0, 2.0, 3.0), "colour": "red"}},
+                r"materials has unknown keys: \['colour'\]",
+            ),
+            ({"materials": {"materials": [{"name": "a"}]}}, r"materials\.materials\[0\]\.youngs"),
+            ({"thickness_levels_um": [0, 100, 200]}, "thickness_levels_um must be .* and positive"),
+            ({"pressure_levels_atm": [-10, 0, 10]}, "pressure_levels_atm must be .* non-negative"),
         ],
     )
     def test_rejections(self, doc, hint):

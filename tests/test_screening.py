@@ -262,7 +262,8 @@ class TestScreenAnalytical:
 
 class TestScreenFem:
     def test_verdicts(self, library, reference_cap, criteria):
-        verdicts = gt.screen(library, reference_cap, criteria, "fem")
+        mesh = gt.mesh_cap(reference_cap, 96)
+        verdicts = gt.screen(library, reference_cap, criteria, "fem", fem_mesh=mesh)
         assert [v.classification for v in verdicts] == ["pass", "marginal", "fail"]
         for v in verdicts:
             assert v.min_feasible_thickness_um == pytest.approx(
@@ -272,9 +273,10 @@ class TestScreenFem:
     def test_fem_thickness_lands_near_the_closed_form(
         self, library, reference_cap, criteria
     ):
+        mesh = gt.mesh_cap(reference_cap, 96)
         verdicts = {
             v.material_name: v.min_feasible_thickness_um
-            for v in gt.screen(library, reference_cap, criteria, "fem")
+            for v in gt.screen(library, reference_cap, criteria, "fem", fem_mesh=mesh)
         }
         for name in ("Carbon epoxy resin", "Parylene C"):
             ratio = verdicts[name] / T_MIN_ANALYTICAL[name]
@@ -287,18 +289,9 @@ class TestScreenFem:
         ordered = sorted(verdicts, key=verdicts.get)
         assert ordered == ["Carbon epoxy resin", "Parylene C", "Polyimide"]
 
-    def test_builds_one_mesh_per_call(self, monkeypatch, library, reference_cap, criteria):
-        from globtop import screening
-
-        meshes = []
-
-        def counted(*args):
-            meshes.append(args)
-            return gt.mesh_cap(*args)
-
-        monkeypatch.setattr(screening, "mesh_cap", counted)
-        gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
-        assert meshes == [(reference_cap, 16)]
+    def test_requires_a_mesh(self, library, reference_cap, criteria):
+        with pytest.raises(gt.ConfigError, match="requires a mesh"):
+            gt.screen(library, reference_cap, criteria, "fem")
 
     def test_builds_stiffness_parts_once_per_poisson_ratio(
         self, monkeypatch, library, reference_cap, criteria
@@ -313,7 +306,9 @@ class TestScreenFem:
             return original(mesh, nu)
 
         monkeypatch.setattr(fem, "_element_parts", counted)
-        gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+        gt.screen(
+            library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 16)
+        )
         # Parylene C and carbon epoxy resin share nu = 0.4.
         assert sorted(builds) == [0.35, 0.4]
 
@@ -328,7 +323,9 @@ class TestScreenFem:
             return original(*args)
 
         monkeypatch.setattr(screening, "solve_case", counted)
-        gt.screen(library, reference_cap, criteria, "fem")
+        gt.screen(
+            library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 96)
+        )
         # One worst-case solve per material; the rest are the root finds.
         assert len(solves) - len(library) <= 30
 
@@ -372,7 +369,9 @@ class TestScreenFem:
         with pytest.raises(
             gt.SolverError, match=r"did not converge in \[[0-9.e+]+, [0-9.e+]+\] um after"
         ):
-            gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+            gt.screen(
+                library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 16)
+            )
 
     def test_no_feasible_thickness_up_to_the_sphere_radius(self, cer, reference_cap):
         # The bracket's last end, exp(log(radius)), rounds above this radius,
@@ -382,7 +381,9 @@ class TestScreenFem:
         library = gt.MaterialLibrary([cer])
         criteria = gt.ScreeningCriteria(deflection_limit_um=1e-6)
         with pytest.raises(gt.SolverError, match="no feasible thickness up to the sphere radius"):
-            gt.screen(library, reference_cap, criteria, "fem", fem_elements=16)
+            gt.screen(
+                library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 16)
+            )
 
     def test_fem_minimum_actually_hits_the_limit(self, cer, reference_cap, criteria):
         from globtop.fem import mesh_cap, solve_case

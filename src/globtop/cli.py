@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, GlobtopError, InputDomainError, MeshError, StageError, choice, number
-from .geometry import REFERENCE_GEOMETRY, CapGeometry, cap_from_config
+from .errors import ConfigError, GlobtopError, InputDomainError, MeshError, StageError, number, resolve
+from .geometry import CAP_ROWS, REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
-from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_deflection, profile
-from .units import ATM_PA, atm_to_pa
+from .shell_model import PROFILE_POINTS_ROW, ShellCase, apex_deflection, profile
+from .units import ATM_PA, ATM_PA_ROW, atm_to_pa
 
 # doe, fem (numpy), report, screening and stats are imported by the
 # subcommands that use them, so the closed-form commands start without numpy
@@ -35,25 +35,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-# The geometry flags, by the config key each one gives.
-_GEOMETRY_FLAGS = {
+# A study config key's flag is "--" and the key with dashes, but for these.
+_SPELLED = {
     "base_half_width_um": "--b-um",
     "rise_um": "--h-um",
-    "radius_um": "--radius-um",
     "base_angle_deg": "--angle-deg",
+    "deflection_limit_um": "--limit-um",
 }
 
 
+def _flag(key: str) -> str:
+    return _SPELLED.get(key) or "--" + key.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
-    # Flags that a study config also sets default to None: the command then
-    # takes the config's default.
+    # A config key's flag defaults to None, for ``_resolve`` to see what is given.
     parser = _Parser(prog="globtop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"globtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(p, key, **kwargs):
+        p.add_argument(_flag(key), dest=key, **kwargs)
+
     def add_cap(p):
-        for key, flag in _GEOMETRY_FLAGS.items():
-            p.add_argument(flag, type=float, dest=key, help=f"the cap's {key}")
+        for key, _, _ in CAP_ROWS:
+            add(p, key, type=float, help=f"the cap's {key}")
 
     def add_library(p):
         p.add_argument("--materials", help="material library JSON (default: bundled)")
@@ -61,7 +67,7 @@ def _build_parser() -> _Parser:
     def add_common(p):
         add_library(p)
         p.add_argument("--material", help="material name from the library")
-        p.add_argument("--atm-pa", type=float, help=f"pascals per atmosphere (default {ATM_PA:g})")
+        add(p, "atm_pa", type=float, help=f"pascals per atmosphere (default {ATM_PA:g})")
         add_cap(p)
 
     p_geo = sub.add_parser("geometry", help="solve the cap geometry")
@@ -72,9 +78,9 @@ def _build_parser() -> _Parser:
     add_common(p_def)
     p_def.add_argument("--thickness-um", type=float, required=True)
     p_def.add_argument("--pressure-atm", type=float, required=True)
-    p_def.add_argument("--profile-points", type=int, default=0,
-                       help="if > 1, write a (phi, v, w) profile CSV to --out")
-    p_def.add_argument("--out", help="output file for the profile CSV")
+    add(p_def, "profile_points", type=int,
+        help=f"samples of the profile CSV (default {PROFILE_POINTS_ROW[2]})")
+    p_def.add_argument("--out", help="write a (phi, v, w) profile CSV here")
     p_def.add_argument("--format", choices=("text", "json"), default="text")
 
     p_plan = sub.add_parser("plan", help="emit the 9-run screening plan")
@@ -93,18 +99,16 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("optimize", help="minimum feasible thickness per material")
     add_common(p_opt)
-    p_opt.add_argument("--limit-um", type=float, dest="deflection_limit_um",
-                       help="apex deflection limit, um")
-    p_opt.add_argument("--max-pressure-atm", type=float)
-    p_opt.add_argument("--max-thickness-um", type=float)
+    for key in ("deflection_limit_um", "max_pressure_atm", "max_thickness_um"):
+        add(p_opt, key, type=float, help=f"the criteria's {key}")
     p_opt.add_argument("--format", choices=("text", "json"), default="text")
 
     p_fem = sub.add_parser("fem", help="finite element solve of one case")
     add_common(p_fem)
     p_fem.add_argument("--thickness-um", type=float, required=True)
     p_fem.add_argument("--pressure-atm", type=float, required=True)
-    p_fem.add_argument("--n-elements", type=int)
-    p_fem.add_argument("--bc", help="rim support, as a study config's fem.bc")
+    add(p_fem, "n_elements", type=int)
+    add(p_fem, "bc", help="rim support, as a study config's fem.bc")
     p_fem.add_argument("--converge", action="store_true",
                        help="run a mesh refinement ladder instead of one solve")
     p_fem.add_argument("--out", help="output file for the nodal solution CSV")
@@ -112,13 +116,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flags(args, table) -> tuple[dict, dict]:
+    """The values that ``args`` gives for ``table``'s keys, and each key's flag."""
+    keys = [key for key, _, _ in table]
+    given = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return given, {key: _flag(key) for key in keys}
+
+
+def _resolve(args, table, build=dict):
+    """``build`` of ``table``'s keys: the flags given, checked by the rows, or the rows' defaults."""
+    return resolve(table, build, "", *_flags(args, table))
+
+
 def _geometry_from(args) -> CapGeometry:
-    block = {key: getattr(args, key) for key in _GEOMETRY_FLAGS if getattr(args, key) is not None}
-    return cap_from_config(block, _GEOMETRY_FLAGS) if block else REFERENCE_GEOMETRY
+    block, names = _flags(args, CAP_ROWS)
+    return cap_from_config(block, names) if block else REFERENCE_GEOMETRY
 
 
-def _atm_pa(args) -> float:
-    return ATM_PA if args.atm_pa is None else number("--atm-pa", args.atm_pa, positive=True)
+def _load_case(args) -> tuple[float, float]:
+    """--thickness-um > 0 and --pressure-atm >= 0, the sign rule of the plan's levels."""
+    if number("--pressure-atm", args.pressure_atm) < 0.0:
+        raise ConfigError(f"--pressure-atm must be non-negative, got {args.pressure_atm!r}")
+    return number("--thickness-um", args.thickness_um, positive=True), args.pressure_atm
 
 
 def _library_from(args):
@@ -150,32 +169,24 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_deflect(args) -> int:
-    if args.profile_points > MAX_PROFILE_POINTS:
-        raise InputDomainError(
-            f"--profile-points must be at most {MAX_PROFILE_POINTS}, got {args.profile_points}"
-        )
-    geom = _geometry_from(args)
-    material = _material_from(args)
-    case = ShellCase(
-        geometry=geom,
-        thickness_um=args.thickness_um,
-        material=material,
-        pressure_pa=atm_to_pa(args.pressure_atm, _atm_pa(args)),
-    )
+    options = _resolve(args, (ATM_PA_ROW, PROFILE_POINTS_ROW))
+    if args.profile_points is not None and not args.out:
+        raise InputDomainError("--profile-points needs --out for the CSV")
+    thickness, pressure = _load_case(args)
+    p_pa = atm_to_pa(pressure, options["atm_pa"])
+    case = ShellCase(_geometry_from(args), thickness, _material_from(args), p_pa)
     apex = apex_deflection(case)
-    if args.profile_points > 1:
-        if not args.out:
-            raise InputDomainError("--profile-points needs --out for the CSV")
-        profile(case, args.profile_points).write_csv(args.out)
+    if args.out:
+        profile(case, options["profile_points"]).write_csv(args.out)
     if args.format == "json":
         print(json.dumps({
-            "material": material.name,
+            "material": case.material.name,
             "thickness_um": case.thickness_um,
             "pressure_atm": args.pressure_atm,
             "apex_deflection_um": apex,
         }, indent=2, sort_keys=True))
     else:
-        print(f"{material.name}: t = {case.thickness_um:g} um, "
+        print(f"{case.material.name}: t = {case.thickness_um:g} um, "
               f"P = {args.pressure_atm:g} atm -> apex deflection {apex:.4f} um")
     return 0
 
@@ -244,16 +255,16 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from .screening import ScreeningCriteria, screen
+    from .screening import CRITERIA_ROWS, ScreeningCriteria, screen
 
     geom = _geometry_from(args)
     if args.material:
         library = MaterialLibrary(materials=(_material_from(args),))
     else:
         library = _library_from(args)
-    given = {key: getattr(args, key) for key in ScreeningCriteria._fields if key in args}
-    criteria = ScreeningCriteria(**{key: value for key, value in given.items() if value is not None})
-    verdicts = screen(library, geom, criteria, "analytical", atm_pa=_atm_pa(args))
+    criteria = _resolve(args, CRITERIA_ROWS, ScreeningCriteria)
+    atm_pa = _resolve(args, (ATM_PA_ROW,))["atm_pa"]
+    verdicts = screen(library, geom, criteria, "analytical", atm_pa=atm_pa)
     if args.format == "json":
         print(json.dumps([
             {"material": v.material_name, "min_feasible_thickness_um": v.min_feasible_thickness_um,
@@ -268,24 +279,22 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fem(args) -> int:
-    from .screening import BOUNDARY_CONDITIONS, FEM_ELEMENTS, FEM_MAX_ELEMENTS
+    from .screening import FEM_ROWS
 
-    n_elements = FEM_ELEMENTS if args.n_elements is None else args.n_elements
-    if n_elements > FEM_MAX_ELEMENTS:
+    options = _resolve(args, (*FEM_ROWS, ATM_PA_ROW))
+    n_elements, bc = options["n_elements"], options["bc"]
+    if args.converge and (n_elements < 32 or n_elements % 8):
         raise InputDomainError(
-            f"--n-elements must be at most {FEM_MAX_ELEMENTS}, past which roundoff"
-            f" swamps the discretization error, got {n_elements}"
+            f"--n-elements must be a multiple of 8 and at least 32 with --converge, got {n_elements}"
         )
-    bc = BOUNDARY_CONDITIONS[0] if args.bc is None else choice(BOUNDARY_CONDITIONS, "--bc", args.bc)
+    thickness, pressure = _load_case(args)
     from .fem import converge, mesh_cap, solve_case
 
     geom = _geometry_from(args)
     material = _material_from(args)
-    p_pa = atm_to_pa(args.pressure_atm, _atm_pa(args))
+    p_pa = atm_to_pa(pressure, options["atm_pa"])
     if args.converge:
-        report = converge(
-            geom, args.thickness_um, material, p_pa, bc=bc, n_start=max(4, n_elements // 8)
-        )
+        report = converge(geom, thickness, material, p_pa, bc=bc, n_start=n_elements // 8)
         for n, apex in zip(report.levels, report.apex_um):
             print(f"n = {n:5d}: apex = {apex:.6f} um")
         order = report.observed_order
@@ -295,7 +304,7 @@ def _cmd_fem(args) -> int:
             print("warning: ladder is not contracting monotonically", file=sys.stderr)
         return 0
     mesh = mesh_cap(geom, n_elements)
-    sol = solve_case(mesh, args.thickness_um, material, p_pa, bc)
+    sol = solve_case(mesh, thickness, material, p_pa, bc)
     print(f"{material.name}: t = {args.thickness_um:g} um, P = {args.pressure_atm:g} atm, "
           f"{bc} rim, {n_elements} elements")
     print(f"apex deflection   = {sol.apex_deflection_um:.6f} um")

@@ -84,21 +84,22 @@ def read_text(path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-# The input schema.  A table is a tuple of rows (key, validator, default).
-# A validator takes the key's dotted path and its raw value (the default when
-# the key is absent) and returns the resolved value or raises a ConfigError
-# naming the path.  Where a domain constructor checks a value's range, the
-# row checks only the JSON type and ``resolve`` names the key in the range
-# error.
+# The input schema.  A table is a tuple of rows (key, validator, default),
+# the one check and default of its key in a config and on the command line.
+# A validator takes the key's name and its raw value (the default when the
+# key is absent) and returns the resolved value or raises a ConfigError
+# naming it.  A row bounds what a command-line flag may give; other range
+# checks are left to a domain constructor, whose error ``resolve`` names.
 
 REQUIRED = object()
 """The default of a row whose key must be given."""
 
 
-def resolve(table, build, path: str, raw):
+def resolve(table, build, path: str, raw, names: Mapping[str, str] | None = None):
     """``build(**resolved)`` for the mapping ``raw`` resolved against ``table``.
 
-    ``path`` is the block's dotted path, "" at the top level.
+    ``path`` is the block's dotted path, "" at the top level; ``names`` may
+    spell a key in the messages, as the command-line flag that gave it, say.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path or 'the top level'} must be an object, got {type(raw).__name__}")
@@ -107,7 +108,7 @@ def resolve(table, build, path: str, raw):
         raise ConfigError(f"{path or 'the top level'} has unknown keys: {sorted(unknown, key=str)}")
     resolved = {}
     for key, check, default in table:
-        where = f"{path}.{key}" if path else key
+        where = (names or {}).get(key) or (f"{path}.{key}" if path else key)
         value = raw.get(key, default)
         if value is REQUIRED:
             raise ConfigError(f"{where} is required")
@@ -130,7 +131,7 @@ def unchecked(path: str, raw):
 
 def number(path: str, raw, finite: bool = True, positive: bool = False) -> float:
     value = real(path, raw, finite=finite, error=ConfigError)
-    if positive and value <= 0.0:
+    if positive and not value > 0.0:  # NaN is not positive either
         raise ConfigError(f"{path} must be positive, got {raw!r}")
     return value
 

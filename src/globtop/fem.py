@@ -49,17 +49,19 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import InputDomainError, MeshError, SolverError
+from .errors import InputDomainError, MeshError, Record, SolverError
 from .geometry import CapGeometry
 from .materials import Material
 from .screening import BOUNDARY_CONDITIONS, FEM_MAX_ELEMENTS
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import IO, Sequence
 
 HALF_BANDWIDTH = 5
 # 4-point Gauss-Legendre rule on [-1, 1]: the values of
@@ -184,8 +186,7 @@ def _load_lapack():
 _PBTRF, _PBTRS = _load_lapack()
 
 
-@dataclass(frozen=True, eq=False)
-class ShellMesh:
+class ShellMesh(Record):
     """Meridian nodes of a shell of revolution, apex first.
 
     ``r_um`` must start at the axis and increase strictly; ``z_um`` is the
@@ -201,6 +202,9 @@ class ShellMesh:
     z_um: np.ndarray
     phi_rad: np.ndarray | None = None
     radius_um: float | None = None
+
+    # By identity, as a solution's: arrays do not compare to one bool.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r_um, dtype=float)
@@ -629,8 +633,7 @@ def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> float:
     return scale
 
 
-@dataclass(frozen=True, eq=False)
-class FemSolution:
+class FemSolution(Record):
     """Nodal solution of one load case plus solve diagnostics."""
 
     mesh: ShellMesh
@@ -647,8 +650,10 @@ class FemSolution:
     equilibrium_residual: float
     # The constrained banded stiffness and its Cholesky factor, kept for the
     # condition estimate.
-    stiffness: np.ndarray = field(repr=False)
-    factor: np.ndarray = field(repr=False)
+    stiffness: np.ndarray
+    factor: np.ndarray
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @cached_property
     def condition_estimate(self) -> float:
@@ -778,8 +783,7 @@ _mesh_cap = mesh_cap
 _solve_case = solve_case
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Apex deflection across a mesh refinement ladder."""
 
     bc: str

@@ -132,7 +132,7 @@ _FORMS = (
     (("base_half_width_um", "rise_um"), solve_cap),
     (("radius_um", "base_angle_deg"), from_radius_angle),
 )
-_KEYS = tuple((key, unchecked, None) for pair, _ in _FORMS for key in pair)
+CAP_ROWS = tuple((key, unchecked, None) for pair, _ in _FORMS for key in pair)
 
 
 def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> CapGeometry:
@@ -141,10 +141,9 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
     Exactly one of the two forms must be present:
     {"base_half_width_um": b, "rise_um": h} or
     {"radius_um": a, "base_angle_deg": alpha}.  ``names`` spells the keys in
-    the messages of a malformed block, as the command-line flags that gave
-    them, for example.
+    the messages of a malformed block, as ``errors.resolve`` takes it.
     """
-    resolve(_KEYS, dict, "geometry", block)  # an object with no other keys
+    resolve(CAP_ROWS, dict, "geometry", block, names)  # an object with no other keys
     names = names or {}
     spelled = ["/".join(names.get(key, key) for key in pair) for pair, _ in _FORMS]
     given = [(pair, build) for pair, build in _FORMS if any(key in block for key in pair)]

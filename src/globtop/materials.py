@@ -127,18 +127,18 @@ def library_block(path: str, raw) -> MaterialLibrary:
     return resolve(_LIBRARY, MaterialLibrary, path, raw)
 
 
-def load_library(text: str) -> MaterialLibrary:
-    """Parse a material library from JSON text."""
+def load_library(text: str, path: str = "") -> MaterialLibrary:
+    """Parse a material library from JSON text; an error names ``path``, the file's."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"material library is not valid JSON: {exc}") from exc
-    return library_block("", doc)
+        raise ConfigError(f"{path or 'material library'} is not valid JSON: {exc}") from exc
+    return library_block(path, doc)
 
 
 def load_library_file(path: str | Path) -> MaterialLibrary:
     """Load a material library from a JSON file."""
-    return load_library(read_text(path, "material library"))
+    return load_library(read_text(path, "material library"), str(path))
 
 
 def serialize_library(library: MaterialLibrary) -> str:

@@ -37,13 +37,12 @@ from .doe import (
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, Record, StageError, choice, integer, number, numbers, read_text, resolve
+from .errors import ConfigError, Record, StageError, numbers, read_text, resolve
 from .geometry import REFERENCE_CAP, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, library_block, load_library_file
 from .screening import (
-    BOUNDARY_CONDITIONS,
-    FEM_ELEMENTS,
-    FEM_MAX_ELEMENTS,
+    CRITERIA_ROWS,
+    FEM_ROWS,
     ScreeningCriteria,
     SOURCES,
     Verdict,
@@ -52,7 +51,7 @@ from .screening import (
     solve_case,
     thickness_profile,
 )
-from .shell_model import MAX_PROFILE_POINTS, apex_deflection
+from .shell_model import PROFILE_POINTS_ROW, apex_deflection
 from .stats import (
     AnovaTable,
     EffectTest,
@@ -63,7 +62,7 @@ from .stats import (
     effects_to_json,
     fit_screening_model,
 )
-from .units import ATM_PA
+from .units import ATM_PA_ROW
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -120,19 +119,7 @@ def _library(base_dir: Path | None, path: str, raw) -> MaterialLibrary:
     return library
 
 
-_CRITERIA = (
-    ("deflection_limit_um", partial(number, finite=False), ScreeningCriteria.deflection_limit_um),
-    ("max_pressure_atm", number, ScreeningCriteria.max_pressure_atm),
-    ("max_thickness_um", number, ScreeningCriteria.max_thickness_um),
-    ("thickness_range_um", partial(numbers, 2), ScreeningCriteria.thickness_range_um),
-    ("pressure_range_atm", partial(numbers, 2), ScreeningCriteria.pressure_range_atm),
-    ("marginal_band", number, ScreeningCriteria.marginal_band),
-)
 _EXTERNAL = (("simulated_um", _column, None), ("calculated_um", _column, None))
-_FEM = (
-    ("n_elements", partial(integer, 4, maximum=FEM_MAX_ELEMENTS), FEM_ELEMENTS),
-    ("bc", partial(choice, BOUNDARY_CONDITIONS), BOUNDARY_CONDITIONS[0]),
-)
 
 
 def _study_table(base_dir: Path | None) -> tuple:
@@ -141,12 +128,12 @@ def _study_table(base_dir: Path | None) -> tuple:
         ("materials", partial(_library, base_dir), None),
         ("thickness_levels_um", partial(plan_levels, positive=True), THICKNESS_LEVELS_UM),
         ("pressure_levels_atm", partial(plan_levels, positive=False), PRESSURE_LEVELS_ATM),
-        ("criteria", partial(resolve, _CRITERIA, ScreeningCriteria), {}),
+        ("criteria", partial(resolve, CRITERIA_ROWS, ScreeningCriteria), {}),
         ("sources", _sources, ("analytical",)),
         ("external", partial(resolve, _EXTERNAL, dict), {}),
-        ("fem", partial(resolve, _FEM, dict), {}),
-        ("atm_pa", partial(number, positive=True), ATM_PA),
-        ("profile_points", partial(integer, 2, maximum=MAX_PROFILE_POINTS), 101),
+        ("fem", partial(resolve, FEM_ROWS, dict), {}),
+        ATM_PA_ROW,
+        PROFILE_POINTS_ROW,
     )
 
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
-from .errors import ConfigError, InputDomainError, Record, SolverError, real
+from .errors import ConfigError, InputDomainError, Record, SolverError, choice, integer, number, numbers, real
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
-from .shell_model import MAX_PROFILE_POINTS, ShellCase, apex_coefficient, apex_deflection
+from .shell_model import MAX_PROFILE_POINTS, PROFILE_POINTS_ROW, ShellCase, apex_coefficient, apex_deflection
 from .units import ATM_PA, atm_to_pa
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -77,6 +78,16 @@ class ScreeningCriteria(Record):
             raise InputDomainError(f"marginal_band must lie in [0, 1), got {band!r}")
         object.__setattr__(self, "marginal_band", band)
 
+
+# The config's criteria rows; the three that are optimize's flags bound them.
+CRITERIA_ROWS = tuple((key, check, getattr(ScreeningCriteria, key)) for key, check in (
+    ("deflection_limit_um", partial(number, finite=False, positive=True)),
+    ("max_pressure_atm", partial(number, positive=True)),
+    ("max_thickness_um", partial(number, positive=True)),
+    ("thickness_range_um", partial(numbers, 2)),
+    ("pressure_range_atm", partial(numbers, 2)),
+    ("marginal_band", number),
+))
 
 def min_thickness(
     material: Material,
@@ -165,6 +176,10 @@ def classify(t_min_um: float, criteria: ScreeningCriteria) -> str:
 FEM_MAX_ELEMENTS = 512
 FEM_ELEMENTS = 256
 BOUNDARY_CONDITIONS = ("clamped", "pinned")
+FEM_ROWS = (  # a study config's fem block, and the flags of ``globtop fem``
+    ("n_elements", partial(integer, 4, maximum=FEM_MAX_ELEMENTS), FEM_ELEMENTS),
+    ("bc", partial(choice, BOUNDARY_CONDITIONS), BOUNDARY_CONDITIONS[0]),
+)
 
 
 def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
@@ -406,7 +421,7 @@ def thickness_profile(
     material: Material,
     geometry: CapGeometry,
     criteria: ScreeningCriteria,
-    n_points: int = 101,
+    n_points: int = PROFILE_POINTS_ROW[2],
     pressure_atm: float | None = None,
     atm_pa: float = ATM_PA,
 ) -> ThicknessProfile:

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
 
-from .errors import InputDomainError, Record
+from .errors import InputDomainError, Record, integer
 from .geometry import CapGeometry, thinness_ratio
 from .materials import Material
 
@@ -51,6 +52,8 @@ _PHI_SLACK = 1e-12
 # tuples and written as text, so a count without a bound allocates until
 # MemoryError; 10,001 points is finer than any plot or table needs.
 MAX_PROFILE_POINTS = 10_001
+# The config's profile_points row, shared by deflect's flag and thickness_profile.
+PROFILE_POINTS_ROW = ("profile_points", partial(integer, 2, maximum=MAX_PROFILE_POINTS), 101)
 
 
 class ShellCase(Record):

@@ -8,8 +8,15 @@ converting.
 
 from __future__ import annotations
 
+from functools import partial
+
+from .errors import number
+
 ATM_PA = 101325.0
 """Standard atmosphere in pascals."""
+
+# The atm_pa row of the study config's schema, which ``--atm-pa`` shares.
+ATM_PA_ROW = ("atm_pa", partial(number, positive=True), ATM_PA)
 
 GPA_PA = 1.0e9
 """Pascals per gigapascal."""

@@ -33,6 +33,17 @@ def mp_load_factor(e_pa, t_um, p_pa, a_um):
     )
 
 
+def sphere_membrane_apex(e_pa, nu, t_um, p_pa, a_um):
+    """Membrane deflection of a complete sphere under uniform pressure, um.
+
+    pR**2 (1 - nu) / (2 E t): the membrane force pR/2 strains the shell by
+    (1 - nu) pR / (2 E t) in every direction, and the radius grows by R times
+    that (Timoshenko & Woinowsky-Krieger, the chapter on membrane shells of
+    revolution).  A cap whose angle alpha goes to 0 deflects so at its apex.
+    """
+    return mp_load_factor(e_pa, t_um, p_pa, a_um) * (1 - mpmath.mpf(str(nu))) / 2
+
+
 def mp_meridional_v(e_pa, nu, t_um, p_pa, a_um, alpha, phi):
     nu = mpmath.mpf(str(nu))
     alpha = mpmath.mpf(str(alpha))

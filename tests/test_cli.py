@@ -70,7 +70,6 @@ def _print_loaded(*packages):
     return f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
 
 
-_LOADED_NUMPY_OR_SCIPY = _print_loaded("numpy", "scipy")
 # Scripts that need a work directory take it as sys.argv[1] (_run_python's ``work``).
 _CLOSED_FORM_RUNS = """
 import contextlib, io, json, pathlib, sys
@@ -146,12 +145,12 @@ study = ["study", "--config", str(d / "study.json"), "--out", str(d / "out")]
 
 
 def _loaded_after(runs, work):
-    """numpy and scipy modules loaded once ``cli.main`` has run each argv in ``runs``."""
+    """numpy, scipy and dataclasses modules loaded once ``cli.main`` has run each argv in ``runs``."""
     proc = _run_python(
         f"{_FEM_ARGV}\nimport contextlib, io\nfrom globtop import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {runs}]\n"
-        f"assert set(codes) == {{0}}, codes\n{_LOADED_NUMPY_OR_SCIPY}",
+        f"assert set(codes) == {{0}}, codes\n{_print_loaded('numpy', 'scipy', 'dataclasses')}",
         work=work,
     )
     assert proc.returncode == 0, proc.stderr
@@ -163,6 +162,7 @@ def test_fem_loads_lapack_without_the_scipy_linalg_package(tmp_path):
     # it loads no scipy module at all, let alone the scipy.linalg package.
     loaded = _loaded_after("[fem, fem + ['--converge']]", tmp_path)
     assert "numpy" in loaded
+    assert "dataclasses" not in loaded  # fem's value classes are Records
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert "numpy.f2py" not in loaded
 
@@ -362,14 +362,38 @@ class TestGeometry:
             ([*_FEM_CASE, "--bc", "taped"], "--bc must be one of clamped, pinned, got 'taped'"),
             (["plan", "--thickness-levels-um", "-10", "0", "10"], "--thickness-levels-um must be"),
             (["plan", "--pressure-levels-atm", "-1", "0", "1"], "--pressure-levels-atm must be"),
+            # The criteria flags, bounded by the config's criteria rows.
+            (["optimize", "--limit-um", "-1"], "--limit-um must be positive, got -1.0"),
+            (["optimize", "--limit-um", "nan"], "--limit-um must be positive, got nan"),
+            (["optimize", "--max-pressure-atm", "0"], "--max-pressure-atm must be positive, got 0.0"),
+            (["optimize", "--max-thickness-um", "-1"], "--max-thickness-um must be positive, got -1.0"),
+            ([*_FEM_CASE, "--n-elements", "0"], "--n-elements must be an integer of at least 4, got 0"),
+            (["deflect", *_FEM_CASE[1:], "--profile-points", "1", "--out", "p.csv"],
+             "--profile-points must be an integer of at least 2, got 1"),
+            (["deflect", *_FEM_CASE[1:], "--profile-points", "-3", "--out", "p.csv"],
+             "--profile-points must be an integer of at least 2, got -3"),
+            # A ladder ends at --n-elements, from an eighth of it.
+            ([*_FEM_CASE, "--n-elements", "16", "--converge"],
+             "--n-elements must be a multiple of 8 and at least 32 with --converge, got 16"),
+            ([*_FEM_CASE, "--n-elements", "2", "--converge"],
+             "--n-elements must be an integer of at least 4, got 2"),
+            ([*_FEM_CASE, "--n-elements", "300", "--converge"],
+             "--n-elements must be a multiple of 8 and at least 32 with --converge, got 300"),
+            (["deflect", *_FEM_CASE[1:], "--pressure-atm", "-1"],
+             "--pressure-atm must be non-negative, got -1.0"),
+            (["deflect", *_FEM_CASE[1:], "--thickness-um", "0"], "--thickness-um must be positive, got 0.0"),
+            ([*_FEM_CASE, "--pressure-atm", "-1"], "--pressure-atm must be non-negative, got -1.0"),
+            ([*_FEM_CASE, "--thickness-um", "0"], "--thickness-um must be positive, got 0.0"),
         ],
     )
-    def test_form_errors_name_the_flags(self, capsys, argv, message):
+    def test_form_errors_name_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
         assert message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_impossible_cap(self, capsys):
         code, _, err = run_cli(capsys, "geometry", "--b-um", "100", "--h-um", "500")
@@ -419,6 +443,15 @@ class TestDeflect:
         assert lines[0] == "phi_deg,v_um,w_um"
         assert len(lines) == 12
 
+    def test_out_alone_writes_the_default_profile(self, capsys, tmp_path):
+        out_file = tmp_path / "profile.csv"
+        code, out, _ = run_cli(capsys, "deflect", *_FEM_CASE[1:], "--out", str(out_file))
+        assert code == 0
+        assert "apex deflection 26.8554 um" in out
+        lines = out_file.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "phi_deg,v_um,w_um"
+        assert len(lines) == 1 + 101
+
     def test_profile_needs_out(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -443,7 +476,7 @@ class TestDeflect:
             "--out", str(out_file),
         )
         assert code == 1
-        assert err == "error: --profile-points must be at most 10001, got 10002\n"
+        assert err == "error: --profile-points must be an integer of at most 10001, got 10002\n"
         assert not out_file.exists()
 
     def test_material_required(self, capsys):
@@ -674,10 +707,7 @@ class TestFem:
         )
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [
-            "error: --n-elements must be at most 512, past which roundoff swamps the"
-            " discretization error, got 2048"
-        ]
+        assert err.splitlines() == ["error: --n-elements must be an integer of at most 512, got 2048"]
 
     def test_bad_support_flag(self, capsys):
         code, _, err = run_cli(

@@ -153,6 +153,21 @@ class TestLoadLibrary:
         with pytest.raises(ConfigError):
             gt.load_library_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"materials": [], "colour": "red"}', " has unknown keys: ['colour']"),
+            ('{"materials": [{"name": "x"}]}', ".materials[0].youngs_modulus_gpa is required"),
+            ("{not json", " is not valid JSON: "),
+        ],
+    )
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "lib.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            gt.load_library_file(path)
+        assert str(info.value).startswith(f"{path}{message}")
+
 
 def test_serialize_round_trip_is_field_exact(library):
     text = gt.serialize_library(library)

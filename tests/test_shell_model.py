@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ import globtop as gt
 from globtop import shell_model
 from globtop.errors import InputDomainError
 
-from .oracles import mp_apex_coefficient, mp_load_factor, mp_radial_w
+from .oracles import mp_apex_coefficient, mp_load_factor, mp_radial_w, sphere_membrane_apex
 
 # Reference load case used for the frozen point values below: stiffest
 # library material, 250 um coat, 100 atm, preset geometry.
@@ -41,6 +42,29 @@ class TestApexCoefficient:
         got = gt.apex_coefficient(nu, alpha)
         want = float(mp_apex_coefficient(nu, alpha))
         assert got == pytest.approx(want, rel=1e-12)
+
+    # With 1/(1 + cos a) = 1/2 + a**2/8 + a**4/48 + ... and
+    # ln(2/(1 + cos a)) = a**2/4 + a**4/96 + ..., whose terms are all positive,
+    # K = (1 - nu)/2 + (1 + nu)(3 a**2/8 + a**4/32 + 7 a**6/1920 + ...).  The
+    # remainder after the a**2 term is therefore positive and, for a <= 1,
+    # below twice the a**4 term; 8 eps covers K's roundoff.
+    @pytest.mark.parametrize("nu", [0.0, 0.35, 0.4, 0.49])
+    @pytest.mark.parametrize("alpha", [0.1, 0.03, 0.01, 0.003])
+    def test_tends_to_the_sphere_at_second_order(self, nu, alpha):
+        remainder = gt.apex_coefficient(nu, alpha) - (1 - nu) / 2 - 3 * (1 + nu) * alpha**2 / 8
+        assert -8 * sys.float_info.epsilon < remainder
+        assert remainder < (1 + nu) * alpha**4 / 16 + 8 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("alpha_deg", [0.5, 2.0, 5.0])
+    def test_a_shallow_cap_deflects_as_the_sphere(self, polyimide, alpha_deg):
+        # w(0) / sphere = 2K / (1 - nu) = 1 + 3(1 + nu) a**2 / (4(1 - nu)) + a**4 terms,
+        # which are (1 + nu) a**4 / (16 (1 - nu)), a**2 / 12 of the a**2 term.
+        a_um, t_um, p_pa = 3010.0, 150.0, gt.atm_to_pa(80.0)
+        nu, alpha = polyimide.poisson_ratio, math.radians(alpha_deg)
+        case = gt.ShellCase(gt.from_radius_angle(a_um, alpha_deg), t_um, polyimide, p_pa)
+        sphere = float(sphere_membrane_apex(polyimide.youngs_modulus_pa, nu, t_um, p_pa, a_um))
+        second = 3 * (1 + nu) * alpha**2 / (4 * (1 - nu))
+        assert gt.apex_deflection(case) / sphere - 1 == pytest.approx(second, rel=alpha**2 / 6)
 
     @pytest.mark.parametrize("nu", [-0.1, 0.5, 0.6, float("nan")])
     def test_poisson_domain(self, nu):

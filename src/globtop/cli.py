@@ -85,8 +85,8 @@ def _build_parser() -> _Parser:
 
     p_plan = sub.add_parser("plan", help="emit the 9-run screening plan")
     add_library(p_plan)
-    p_plan.add_argument("--thickness-levels-um", type=float, nargs=3, metavar="T")
-    p_plan.add_argument("--pressure-levels-atm", type=float, nargs=3, metavar="P")
+    add(p_plan, "thickness_levels_um", type=float, nargs=3, metavar="T")
+    add(p_plan, "pressure_levels_atm", type=float, nargs=3, metavar="P")
     p_plan.add_argument("--out", help="write CSV here instead of stdout")
 
     p_study = sub.add_parser("study", help="run the full screening study")
@@ -192,12 +192,12 @@ def _cmd_deflect(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .doe import PRESSURE_LEVELS_ATM, THICKNESS_LEVELS_UM, default_plan, plan_levels, plan_to_csv
+    from .doe import LEVEL_ROWS, default_plan, plan_to_csv
 
     library = _library_from(args)
-    thickness = plan_levels("--thickness-levels-um", args.thickness_levels_um or THICKNESS_LEVELS_UM, True)
-    pressure = plan_levels("--pressure-levels-atm", args.pressure_levels_atm or PRESSURE_LEVELS_ATM, False)
-    plan_to_csv(default_plan(library, thickness, pressure), args.out or sys.stdout)
+    levels = _resolve(args, LEVEL_ROWS)
+    plan = default_plan(library, levels["thickness_levels_um"], levels["pressure_levels_atm"])
+    plan_to_csv(plan, args.out or sys.stdout)
     return 0
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from collections.abc import Callable, Sequence
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, Record, ResponderError, numbers, read_text
@@ -168,6 +169,13 @@ def plan_levels(name: str, levels, positive: bool) -> tuple[float, float, float]
         sign = "positive" if positive else "non-negative"
         raise ConfigError(f"{name} must be strictly increasing and {sign}, got {list(levels)}")
     return low, mid, high
+
+
+# The config's level rows, and the flags of ``globtop plan``.
+LEVEL_ROWS = (
+    ("thickness_levels_um", partial(plan_levels, positive=True), THICKNESS_LEVELS_UM),
+    ("pressure_levels_atm", partial(plan_levels, positive=False), PRESSURE_LEVELS_ATM),
+)
 
 
 def default_plan(

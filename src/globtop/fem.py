@@ -112,31 +112,33 @@ def _numpy_lapack():
     )
     pbtrf.restype = pbtrs.restype = None
 
-    # f2py's call shapes.  Every argument is made per call, so threads may
-    # solve at once; ctypes releases the GIL for the call.
-    def dpbtrf(ab: np.ndarray, lower: int = 0) -> tuple[np.ndarray, int]:
-        factor = np.array(ab, dtype=np.float64, order="F")
+    @lru_cache(maxsize=8)
+    def sizes(n: int, kd1: int) -> tuple:
+        """n, kd, ldab and nrhs of a band size, made once: LAPACK only reads them."""
+        return _INT(n), _INT(kd1 - 1), _INT(kd1), _INT(1)
+
+    # f2py's call shapes and overwrite flags.  The band, the right side and
+    # info are per call, so threads may solve at once; ctypes releases the
+    # GIL for the call.
+    def dpbtrf(ab: np.ndarray, lower: int = 0, overwrite_ab: int = 0) -> tuple[np.ndarray, int]:
+        factor = (np.asarray if overwrite_ab else np.array)(ab, dtype=np.float64, order="F")
         if factor.ndim != 2 or factor.shape[0] < 1:
             raise ValueError(f"dpbtrf needs a (kd + 1, n) band, got shape {factor.shape}")
-        kd1, n = factor.shape
+        n, kd, ldab, _ = sizes(factor.shape[1], factor.shape[0])
         info = _INT()
-        uplo = b"L" if lower else b"U"
-        pbtrf(uplo, _INT(n), _INT(kd1 - 1), factor.ctypes.data, _INT(kd1), info, 1)
+        pbtrf(b"L" if lower else b"U", n, kd, factor.ctypes.data, ldab, info, 1)
         return factor, info.value
 
-    def dpbtrs(factor: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    def dpbtrs(factor: np.ndarray, b: np.ndarray, overwrite_b: int = 0) -> tuple[np.ndarray, int]:
         factor = np.asfortranarray(factor, dtype=np.float64)
-        x = np.array(b, dtype=np.float64)
+        x = (np.asarray if overwrite_b else np.array)(b, dtype=np.float64, order="C")
         if factor.ndim != 2 or factor.shape[0] < 1 or x.shape != factor.shape[1:]:
             raise ValueError(
                 f"dpbtrs needs a (kd + 1, n) factor and n values, got {factor.shape} and {x.shape}"
             )
-        kd1, n = factor.shape
+        n, kd, ldab, nrhs = sizes(factor.shape[1], factor.shape[0])
         info = _INT()
-        pbtrs(
-            b"U", _INT(n), _INT(kd1 - 1), _INT(1), factor.ctypes.data, _INT(kd1),
-            x.ctypes.data, _INT(n), info, 1,
-        )
+        pbtrs(b"U", n, kd, nrhs, factor.ctypes.data, ldab, x.ctypes.data, n, info, 1)
         return x, info.value
 
     return dpbtrf, dpbtrs
@@ -312,7 +314,7 @@ _PAIRS = tuple(np.array(v) for v in zip(*[(i, j) for j in range(6) for i in rang
 _BAND_ROWS = HALF_BANDWIDTH + _PAIRS[0] - _PAIRS[1]
 
 
-def _element_parts(meshes: Sequence[ShellMesh], nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _element_parts(meshes: Sequence[ShellMesh], nu) -> tuple[np.ndarray, np.ndarray]:
     """Global-frame element stiffness parts and load, free of E, t and P.
 
     Returns the membrane and bending parts stacked as (2, 21, n_el), the
@@ -321,9 +323,10 @@ def _element_parts(meshes: Sequence[ShellMesh], nu: float) -> tuple[np.ndarray, 
     E t^3 / (12 (1 - nu^2)), and the element load of a unit pressure,
     (6, n_el).  The elements are those of every mesh, one mesh after the
     other, and no element joins one mesh's rim to the next mesh's apex.
-    Every sum is elementwise in a fixed order, so the result does not
-    depend on the BLAS build, and the parts of a mesh are the same bits
-    whether it is built alone or with others.
+    ``nu`` is one Poisson ratio, or one per element.  Every sum is
+    elementwise in a fixed order, so the result does not depend on the BLAS
+    build, and the parts of a mesh are the same bits whether it is built
+    alone or with others, under one ratio or with a ratio per element.
 
     The parts are built one after the other into one b, each part's strain
     rows only while b is filled, and each column of D b where it is used.
@@ -425,13 +428,18 @@ def _radius(mesh: ShellMesh) -> float:
     return mesh.radius_um if mesh.radius_um is not None else float(mesh.r_um[-1])
 
 
-def _build_unit_systems(meshes: Sequence[ShellMesh], nu: float) -> None:
-    """Build the banded unit parts of each mesh for ``nu`` from one element
-    pass over all of them, and keep them on the mesh.
+def _build_unit_systems(pairs: Sequence[tuple[ShellMesh, float]]) -> None:
+    """Build the banded unit parts of each (mesh, Poisson ratio) pair from
+    one element pass over all of them, and keep them on the mesh.
 
-    The arrays are read-only: they are shared by every solve on the mesh.
-    A mesh so large that its parts overflow is rejected with MeshError.
+    A mesh may come in several pairs, one per ratio: its elements are then
+    passed once per ratio, each with its own, and a ratio's parts are the
+    same bits as from a pass of their own.  The arrays are read-only: they
+    are shared by every solve on the mesh.  A mesh so large that its parts
+    overflow is rejected with MeshError.
     """
+    meshes, nus = zip(*pairs)
+    nu = nus[0] if len(set(nus)) == 1 else np.repeat(nus, [mesh.n_elements for mesh in meshes])
     systems = []
     with np.errstate(over="ignore", invalid="ignore"):
         k_el, f_el = _element_parts(meshes, nu)
@@ -452,7 +460,7 @@ def _build_unit_systems(meshes: Sequence[ShellMesh], nu: float) -> None:
             for i in range(6):
                 f1[i : i + stop : 3] += f[i]
             systems.append((band, f1))
-    for mesh, (band, f1) in zip(meshes, systems):
+    for (mesh, nu), (band, f1) in zip(pairs, systems):
         if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
             raise MeshError(
                 f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
@@ -467,7 +475,7 @@ def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np
     """Banded membrane and bending stiffness per unit rigidity, and the load
     of a unit pressure, memoized on the mesh per Poisson ratio."""
     if nu not in mesh._unit_parts:
-        _build_unit_systems((mesh,), nu)
+        _build_unit_systems(((mesh, nu),))
     return mesh._unit_parts[nu]
 
 
@@ -552,39 +560,50 @@ def _row_dot(terms: list[tuple[float, int]], x: np.ndarray) -> float:
     return y
 
 
+@lru_cache(maxsize=32)
+def _lower_layout(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions that gather an upper band into LAPACK's lower layout,
+    ab_lower[d, j] = ab[hb - d, (j + d) % n], and the lower one back: the
+    wrap puts the upper band's unused corner in the lower one's unused tail.
+    Each is shaped (n, kd + 1), so that its gather is in Fortran order.
+    """
+    hb = shape[0] - 1
+    n = shape[1]
+    j, d = np.ogrid[:n, : hb + 1]
+    index = ((hb - d) * n + (j + d) % n, (j - hb + d) % n * (hb + 1) + hb - d)
+    for a in index:
+        a.flags.writeable = False  # shared by every solve on this shape
+    return index
+
+
 def cholesky_banded(ab: np.ndarray) -> np.ndarray:
     """Upper banded Cholesky factor of ``ab`` (LAPACK dpbtrf); ``ab`` is kept.
 
-    LAPACK factors the band in its lower layout, ab_lower[d, j] =
-    ab[hb - d, j + d]: its unblocked kernel then scales and updates
-    contiguous columns, where the upper layout's are strided, which halves
-    the call with OpenBLAS.  The lower factor L is U^T entry for entry, since
-    both forms make the same products, so the upper factor is read back
-    from it; the unused corner above the first columns keeps ``ab``'s
+    LAPACK factors the band in its lower layout: its unblocked kernel then
+    scales and updates contiguous columns, where the upper layout's are
+    strided, which halves the call with OpenBLAS.  The band is gathered into
+    that layout, factored there in place, and gathered back; the positions
+    are in range, so the gathers skip numpy's bounds check.  The lower
+    factor L is U^T entry for entry, since both forms make the same
+    products, and the unused corner above the first columns keeps ``ab``'s
     values, as an upper dpbtrf leaves them.  The back-solve keeps the upper
     factor, since a lower one moves its solution in the last digits.
     """
-    hb = ab.shape[0] - 1
-    n = ab.shape[1]
-    lower = np.zeros(ab.shape, order="F")
-    for d in range(hb + 1):
-        lower[d, : n - d] = ab[hb - d, d:]
-    lower, info = _PBTRF(lower, lower=1)
+    to_lower, to_upper = _lower_layout(ab.shape)
+    lower, info = _PBTRF(ab.take(to_lower, mode="clip").T, lower=1, overwrite_ab=1)
     if info > 0:
         raise SolverError(
             f"stiffness factorization failed: leading minor {info} is not positive definite"
         )
     if info < 0:
         raise SolverError(f"stiffness factorization failed: dpbtrf info {info}")
-    factor = np.array(ab, order="F")
-    for d in range(hb + 1):
-        factor[hb - d, d:] = lower[d, : n - d]
-    return factor
+    return lower.T.take(to_upper, mode="clip").T
 
 
-def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve K x = b from the upper banded Cholesky factor of K (LAPACK dpbtrs)."""
-    x, info = _PBTRS(factor, b)
+def cho_solve_banded(factor: np.ndarray, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """Solve K x = b from the upper banded Cholesky factor of K (LAPACK dpbtrs),
+    in ``b`` itself with ``overwrite_b`` where ``b`` is a contiguous float array."""
+    x, info = _PBTRS(factor, b, overwrite_b=overwrite_b)
     if info != 0:
         raise SolverError(f"banded back-solve failed: dpbtrs info {info}")
     return x
@@ -741,7 +760,7 @@ def solve_case(
     rim_load = float(f[rim_uz])
     _apply_bc(ab, f, fixed_dofs(mesh.n_nodes, bc))
     factor = cholesky_banded(ab)
-    d = cho_solve_banded(factor, f)
+    d = cho_solve_banded(factor, f, overwrite_b=True)
     if not np.all(np.isfinite(d)):
         raise SolverError("solver produced non-finite displacements")
     rim_vertical_n = (_row_dot(rim_row, d) - rim_load) * _N_TO_PA_UM2
@@ -774,6 +793,31 @@ def solve_case(
         stiffness=ab,
         factor=factor,
     )
+
+
+def apex_slope(solution: FemSolution) -> float:
+    """d(apex deflection)/d(thickness), um/um, of a solved case.
+
+    The load does not depend on t, so K d' = -K' d, where K' is
+    E/(1 - nu^2) (K_m + t^2/4 K_b) from the unit parts.  The supports hold
+    d' = 0 at the fixed dofs, so the rows of K' d there are zeroed and the
+    constrained system is solved with the solution's own factor.
+    """
+    mesh, t, material = solution.mesh, solution.thickness_um, solution.material
+    nu = material.poisson_ratio
+    k_m, k_b, _ = _unit_system(mesh, nu)
+    dk = k_m + (t * t / 4.0) * k_b  # K' per unit E/(1 - nu^2)
+    d = np.empty(mesh.n_dof)
+    d[0::3], d[1::3], d[2::3] = solution.u_r_um, solution.u_z_um, solution.rotation_rad
+    hb = HALF_BANDWIDTH
+    y = dk[hb] * d
+    for off in range(1, hb + 1):
+        y[:-off] += dk[hb - off, off:] * d[off:]
+        y[off:] += dk[hb - off, off:] * d[:-off]
+    y[list(fixed_dofs(mesh.n_nodes, solution.bc))] = 0.0
+    z = cho_solve_banded(solution.factor, y, overwrite_b=True)
+    dz_apex = -material.youngs_modulus_pa / (1.0 - nu * nu) * float(z[1])
+    return dz_apex if solution.u_z_um[0] > 0.0 else -dz_apex
 
 
 # Bindings for the lazy forwarders in ``screening``.  A tracer that wraps
@@ -852,7 +896,7 @@ def converge(
     levels = tuple(n_start * 2**k for k in range(n_levels))
     _check_solve_args(thickness_um, pressure_pa, bc)
     meshes = [mesh_cap(geometry, n) for n in levels]
-    _build_unit_systems(meshes, material.poisson_ratio)
+    _build_unit_systems([(mesh, material.poisson_ratio) for mesh in meshes])
     apex = [
         solve_case(mesh, thickness_um, material, pressure_pa, bc).apex_deflection_um
         for mesh in meshes

@@ -16,7 +16,7 @@ import math
 import warnings
 from collections.abc import Mapping
 
-from .errors import ConfigError, InputDomainError, Record, real, resolve, unchecked
+from .errors import ConfigError, InputDomainError, Record, number, real, resolve
 
 
 class ThinShellWarning(UserWarning):
@@ -132,7 +132,14 @@ _FORMS = (
     (("base_half_width_um", "rise_um"), solve_cap),
     (("radius_um", "base_angle_deg"), from_radius_angle),
 )
-CAP_ROWS = tuple((key, unchecked, None) for pair, _ in _FORMS for key in pair)
+
+
+def _positive(path: str, raw) -> float | None:
+    """An absent key's None, or a finite, positive number."""
+    return None if raw is None else number(path, raw, positive=True)
+
+
+CAP_ROWS = tuple((key, _positive, None) for pair, _ in _FORMS for key in pair)
 
 
 def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> CapGeometry:
@@ -143,7 +150,7 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
     {"radius_um": a, "base_angle_deg": alpha}.  ``names`` spells the keys in
     the messages of a malformed block, as ``errors.resolve`` takes it.
     """
-    resolve(CAP_ROWS, dict, "geometry", block, names)  # an object with no other keys
+    values = resolve(CAP_ROWS, dict, "geometry", block, names)  # no other keys, and each positive
     names = names or {}
     spelled = ["/".join(names.get(key, key) for key in pair) for pair, _ in _FORMS]
     given = [(pair, build) for pair, build in _FORMS if any(key in block for key in pair)]
@@ -156,7 +163,7 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
     if not all(key in block for key in pair):
         first, second = (names.get(key, key) for key in pair)
         raise ConfigError(f"geometry: {first} and {second} must be given together")
-    return build(*(block[key] for key in pair))
+    return build(*(values[key] for key in pair))
 
 
 REFERENCE_CAP = {"radius_um": 3010.0, "base_angle_deg": 23.5}

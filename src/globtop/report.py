@@ -27,12 +27,10 @@ from pathlib import Path
 
 from . import __version__
 from .doe import (
-    PRESSURE_LEVELS_ATM,
-    THICKNESS_LEVELS_UM,
+    LEVEL_ROWS,
     ExperimentPlan,
     RunResult,
     default_plan,
-    plan_levels,
     plan_to_csv,
     realize_responses,
     results_to_csv,
@@ -126,8 +124,7 @@ def _study_table(base_dir: Path | None) -> tuple:
     return (
         ("geometry", lambda _, raw: cap_from_config(raw), REFERENCE_CAP),
         ("materials", partial(_library, base_dir), None),
-        ("thickness_levels_um", partial(plan_levels, positive=True), THICKNESS_LEVELS_UM),
-        ("pressure_levels_atm", partial(plan_levels, positive=False), PRESSURE_LEVELS_ATM),
+        *LEVEL_ROWS,
         ("criteria", partial(resolve, CRITERIA_ROWS, ScreeningCriteria), {}),
         ("sources", _sources, ("analytical",)),
         ("external", partial(resolve, _EXTERNAL, dict), {}),
@@ -306,11 +303,15 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         files["plan.csv"] = _csv(plan_to_csv, plan)
 
     # One mesh serves the fem responses and the fem screen, and lives as long
-    # as this study.
+    # as this study; one element pass builds its parts for every Poisson ratio.
     mesh = None
     if "fem" in config.sources:
         with _stage("responses:fem"):
+            from .fem import _build_unit_systems
+
             mesh = mesh_cap(config.geometry, config.fem_elements)
+            nus = dict.fromkeys(m.poisson_ratio for m in config.library)
+            _build_unit_systems([(mesh, nu) for nu in nus])
     responses: dict[str, tuple[RunResult, ...]] = {}
     for source in config.sources:
         with _stage(f"responses:{source}"):
@@ -349,6 +350,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
                 atm_pa=config.atm_pa,
                 fem_bc=config.fem_bc,
                 fem_mesh=mesh,
+                fem_responses=responses.get("fem", ()),
             )
         analyses.append(
             SourceAnalysis(
@@ -412,18 +414,21 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
 def _write_artifacts(out: Path, files: dict[str, str]) -> None:
     """Write ``files`` (name -> text) into ``out`` as one study.
 
-    An earlier study's artifacts that are not in ``files`` are removed first;
-    other files are left alone.  If any of this fails, a STALE marker is left
+    In an existing ``out``, an earlier study's artifacts that are not in
+    ``files`` are removed first, and other files are left alone; a directory
+    made here holds neither.  If any of this fails, a STALE marker is left
     in ``out`` where it can be written, and a StageError names the write.
     """
     stale = out / "STALE"
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        stale.unlink(missing_ok=True)
-        for pattern in _ARTIFACT_PATTERNS:
-            for path in out.glob(pattern):
-                if path.name not in files and path.is_file():
-                    path.unlink()
+        try:
+            out.mkdir(parents=True)
+        except FileExistsError:
+            stale.unlink(missing_ok=True)
+            for pattern in _ARTIFACT_PATTERNS:
+                for path in out.glob(pattern):
+                    if path.name not in files and path.is_file():
+                        path.unlink()
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8")
     except Exception as exc:

@@ -13,16 +13,16 @@ fails when it clearly does not, and is marginal inside a +/-5 percent band
 around the cap, where process scatter decides.
 
 Three response sources are supported: the closed-form model, the shell FEM
-(t_min found by root bracketing on the solved apex deflection), and a fitted
-screening model from an external response column (t_min from inverting the
-linear fit).  Keeping the sources separate in the output is deliberate: the
-gap between an analytical t_min and a fitted one is part of the answer.
+(t_min found by a safeguarded Newton root find on the solved apex
+deflection), and a fitted screening model from an external response column
+(t_min from inverting the linear fit).  Keeping the sources separate in the
+output is deliberate: the gap between an analytical t_min and a fitted one
+is part of the answer.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import partial
 
 from .errors import ConfigError, InputDomainError, Record, SolverError, choice, integer, number, numbers, real
@@ -33,6 +33,9 @@ from .units import ATM_PA, atm_to_pa
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .doe import RunResult
     from .fem import FemSolution, ShellMesh
     from .stats import ScreeningFit
 
@@ -42,8 +45,12 @@ _CLASSES = {"pass": 0, "marginal": 1, "fail": 2}
 # Tolerance of the FEM thickness root in log t.  The 256-element apex
 # carries roundoff of about 1e-8 of itself, so a closer root means nothing.
 _ROOT_XTOL = 1e-8
-# scipy.optimize.brentq's smallest and default relative tolerance.
-_RTOL = 4 * sys.float_info.epsilon
+# Newton's error after a step s is about C s**2, with C = |g''/2g'| at the
+# root.  Over the 363 materials of the benchmark's study_fem seeds 0-39, on
+# both rims, C is at most 0.38 (median 0.26): with C = 0.4, a step under
+# this leaves under half the root tolerance, and is taken without a solve.
+_NEWTON_STOP = math.sqrt(0.5 * _ROOT_XTOL / 0.4)
+_ROOT_MAXITER = 100
 
 
 class ScreeningCriteria(Record):
@@ -206,59 +213,26 @@ def solve_case(
     return fem._solve_case(mesh, thickness_um, material, pressure_pa, bc)
 
 
-def brentq(
-    f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100
-) -> tuple[float, bool]:
-    """Root of ``f`` in [a, b] by Brent's method: ``(root, converged)``.
+def _seed(points, level: float) -> float | None:
+    """Where the quadratic through three (u, y) points falls through ``level``.
 
-    A step-for-step port of scipy's ``brentq.c``, with its defaults and its
-    ``rtol``, so each point evaluated and the root are scipy's bits; it
-    spares the FEM screen loading ``scipy.optimize``.  The ends may come in
-    either order.  A zero at an end is returned at once; ends of the same
-    sign are a ValueError, as in scipy.  ``f`` must not return NaN.
-    ``converged`` is False when ``maxiter`` steps leave the bracket wider
-    than ``xtol + _RTOL*|root|``.
+    About the middle point, x = u - u1, the quadratic is a x**2 + b x + c
+    with c = y1 - level.  Its root where it falls, with slope
+    -sqrt(b**2 - 4 a c), is 2 c / (sqrt(b**2 - 4 a c) - b): that form holds
+    at a = 0 too and does not cancel.  None without three points, or where
+    the quadratic does not fall through ``level``.
     """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre, True
-    if fcur == 0.0:
-        return xcur, True
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    return xcur, False
+    if len(points) != 3:
+        return None
+    (u0, y0), (u1, y1), (u2, y2) = sorted(points)
+    s0 = (y1 - y0) / (u1 - u0)
+    a = ((y2 - y1) / (u2 - u1) - s0) / (u2 - u0)
+    b = s0 + a * (u1 - u0)
+    c = y1 - level
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0 or math.sqrt(disc) <= b:
+        return None
+    return u1 + 2.0 * c / (math.sqrt(disc) - b)
 
 
 def _fem_min_thickness(
@@ -268,60 +242,68 @@ def _fem_min_thickness(
     pressure_pa: float,
     limit_um: float,
     bc: str,
+    seed: float | None = None,
 ) -> float:
     """Thickness at which the FEM apex deflection equals the limit.
 
     The apex falls about as 1/t where membrane action carries the load and
     as 1/t**3 where bending does, so g = log(w / limit) is nearly linear in
-    u = log t.  The closed form seeds u; the bracket grows geometrically, up
-    to the sphere radius; ``brentq``, this module's port of scipy's, closes
-    it to ``_ROOT_XTOL`` in u.  Each u is solved once: ``brentq`` starts by
-    evaluating the bracket ends, which the bracketing has already solved.
-    A root find that has not converged after its 100 iterations is a
-    ``SolverError`` naming the bracket in um.
+    u = log t.  Newton's method finds its root from ``seed``, a u given by
+    the caller, else from the closed form, with the exact slope of each
+    solve (``fem.apex_slope``).  A Newton step shorter than
+    ``_NEWTON_STOP`` is taken as the root without another solve.  Every
+    solve tightens a bracket of the root; a step that leaves it, or that
+    follows a solve which did not shrink |g|, is a bisection of it, or,
+    before the bracket has two ends, a geometric step toward the root, up to
+    the sphere radius.  Each point lies inside the bracket, so no thickness
+    is solved twice.  A root find still open after ``_ROOT_MAXITER`` solves
+    is a ``SolverError`` naming the bracket in um.
     """
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
-    solved: dict[float, float] = {}
-
-    def excess(u: float) -> float:
-        g = solved.get(u)
-        if g is None:
-            # exp(u_max) may round above the radius, which a solve rejects.
-            t = min(math.exp(u), geometry.radius_um)
-            w = solve_case(mesh, t, material, pressure_pa, bc).apex_deflection_um
-            g = solved[u] = math.log(w / limit_um)
-        return g
+    from .fem import apex_slope
 
     u_max = math.log(geometry.radius_um)
-    a = min(math.log(min_thickness(material, geometry, pressure_pa, limit_um)), u_max)
-    g_a = excess(a)
-    if g_a == 0.0:
-        return math.exp(a)
-    # Where w falls at least as fast as 1/t, the root lies within |g_a| of a.
-    step = g_a
-    while True:
-        b = min(a + step, u_max)
-        g_b = excess(b)
-        if g_b == 0.0:
-            return math.exp(b)
-        if (g_b > 0.0) != (g_a > 0.0):
-            break
-        if b == u_max:
+    if seed is None:
+        seed = math.log(min_thickness(material, geometry, pressure_pa, limit_um))
+    u = min(seed, u_max)
+    lo, hi, g_last, grow = -math.inf, math.inf, math.inf, 1.0
+    for _ in range(_ROOT_MAXITER):
+        # exp(u_max) may round above the radius, which a solve rejects.
+        t = min(math.exp(u), geometry.radius_um)
+        sol = solve_case(mesh, t, material, pressure_pa, bc)
+        w = sol.apex_deflection_um
+        g = math.log(w / limit_um)
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            hi = u
+        elif u < u_max:
+            lo = u
+        else:
             raise SolverError(
                 f"{material.name}: no feasible thickness up to the sphere radius "
                 f"{geometry.radius_um:g} um at this pressure"
             )
-        a, g_a = b, g_b
-        step *= 2.0
-    lo, hi = min(a, b), max(a, b)
-    u, converged = brentq(excess, lo, hi, xtol=_ROOT_XTOL)
-    if not converged:
-        raise SolverError(
-            f"{material.name}: thickness root find did not converge in "
-            f"[{math.exp(lo):g}, {math.exp(hi):g}] um after 100 iterations"
-        )
-    return math.exp(u)
+        slope = t * apex_slope(sol) / w  # dg/du, negative
+        step = -g / slope if slope < 0.0 else math.nan
+        if lo < u + step < hi and abs(g) < g_last:
+            if abs(step) < _NEWTON_STOP:
+                return math.exp(u + step)
+            u = min(u + step, u_max)
+        elif hi - lo < math.inf:
+            u = (lo + hi) / 2.0
+            if hi - lo < _ROOT_XTOL:
+                return math.exp(u)
+        else:
+            # Where w falls at least as fast as 1/t, the root lies within |g| of u.
+            u = min(u + grow * g, u_max)
+            grow *= 2.0
+        g_last = abs(g)
+    raise SolverError(
+        f"{material.name}: thickness root find did not converge in "
+        f"[{math.exp(lo):g}, {math.exp(hi):g}] um after {_ROOT_MAXITER} iterations"
+    )
 
 
 def _fit_min_thickness(fit: ScreeningFit, name: str, criteria: ScreeningCriteria) -> float:
@@ -355,13 +337,17 @@ def screen(
     atm_pa: float = ATM_PA,
     fem_bc: str = "clamped",
     fem_mesh: ShellMesh | None = None,
+    fem_responses: Sequence[RunResult] = (),
 ) -> tuple[Verdict, ...]:
     """Screen every library material under one response source.
 
     Verdicts are sorted by minimum feasible thickness, best material first,
     with the material name breaking exact ties deterministically.  The
     external source needs the ``fit`` of the external response column, and
-    the fem source ``fem_mesh``, a mesh of ``geometry``.
+    the fem source ``fem_mesh``, a mesh of ``geometry``.  The fem source
+    seeds each material's root find from its ``fem_responses`` on that mesh,
+    where they hold three loaded thicknesses: the apex is linear in P, so
+    each response scaled to the worst pressure is a point of g(u).
     """
     if source not in SOURCES:
         raise ConfigError(f"source must be one of {SOURCES}, got {source!r}")
@@ -379,7 +365,15 @@ def screen(
                 ShellCase(geometry, criteria.max_thickness_um, mat, p_max)
             )
         elif source == "fem":
-            t_min = _fem_min_thickness(mat, geometry, fem_mesh, p_max, limit, fem_bc)
+            p_atm = criteria.max_pressure_atm
+            points = [
+                (math.log(r.thickness_um), math.log(r.response_um * p_atm / r.pressure_atm))
+                for r in fem_responses
+                if r.material_name == mat.name and r.pressure_atm > 0.0
+            ]
+            t_min = _fem_min_thickness(
+                mat, geometry, fem_mesh, p_max, limit, fem_bc, _seed(points, math.log(limit))
+            )
             worst = solve_case(fem_mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
         else:
             t_min = _fit_min_thickness(fit, mat.name, criteria)

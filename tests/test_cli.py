@@ -168,7 +168,7 @@ def test_fem_loads_lapack_without_the_scipy_linalg_package(tmp_path):
 
 
 def test_fem_study_loads_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
-    # The study's thickness root find is screening's own Brent method.
+    # The study's thickness root find is screening's own Newton method.
     loaded = _loaded_after("[study]", tmp_path)
     assert "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
@@ -384,6 +384,12 @@ class TestGeometry:
             (["deflect", *_FEM_CASE[1:], "--thickness-um", "0"], "--thickness-um must be positive, got 0.0"),
             ([*_FEM_CASE, "--pressure-atm", "-1"], "--pressure-atm must be non-negative, got -1.0"),
             ([*_FEM_CASE, "--thickness-um", "0"], "--thickness-um must be positive, got 0.0"),
+            # The geometry flags, bounded by the cap's rows.
+            (["geometry", "--b-um", "-1", "--h-um", "1"], "--b-um must be positive, got -1.0"),
+            (["geometry", "--b-um", "1200", "--h-um", "0"], "--h-um must be positive, got 0.0"),
+            (["geometry", "--radius-um", "inf", "--angle-deg", "20"], "--radius-um must be a finite number"),
+            ([*_FEM_CASE, "--radius-um", "3010", "--angle-deg", "-5"], "--angle-deg must be positive, got -5.0"),
+            (["deflect", *_FEM_CASE[1:], "--b-um", "nan", "--h-um", "250"], "--b-um must be a finite number"),
         ],
     )
     def test_form_errors_name_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):

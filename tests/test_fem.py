@@ -441,6 +441,52 @@ class TestStiffnessParts:
         assert peak - k.nbytes - f.nbytes < 350_000
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nus=st.lists(st.floats(0.30, 0.45), min_size=2, max_size=3, unique=True),
+        n=st.integers(4, 256),
+    )
+    def test_a_pass_over_several_ratios_equals_lone_builds_byte_for_byte(self, nus, n):
+        # A study builds its mesh's parts for every ratio of its library in
+        # one pass, with a ratio per element; a fresh solve of one ratio, as
+        # the benchmark's checks make, builds them alone.
+        geometry = gt.REFERENCE_GEOMETRY
+        pairs = [(fem.mesh_cap(geometry, n), nu) for nu in nus[:1]]
+        pairs += [(pairs[0][0], nu) for nu in nus[1:]] + [(fem.mesh_cap(geometry, 32), nus[0])]
+        fem._build_unit_systems(pairs)
+        for mesh, nu in pairs:
+            lone = fem._unit_system(fem.mesh_cap(geometry, mesh.n_elements), nu)
+            assert [a.tobytes() for a in mesh._unit_parts[nu]] == [a.tobytes() for a in lone]
+
+
+class TestApexSlope:
+    # Against a central difference in u = log t with h = 1e-3, on 96
+    # elements.  Its truncation, h**2 |g'''| / 6, is at most 9.5e-8 on these
+    # cases; the apex's roundoff, about APEX_REL_256 * (96/256)**4 = 4e-10
+    # of itself (the condition grows as N**4), adds up to 4e-10 / h = 4e-7.
+    # The measured gap is at most 4.3e-7.
+    @pytest.mark.parametrize("bc", fem.BOUNDARY_CONDITIONS)
+    @pytest.mark.parametrize("t", [150.0, 200.0, 250.0])
+    def test_matches_a_central_difference(self, reference_cap, bc, t):
+        mesh = fem.mesh_cap(reference_cap, 96)
+        p = gt.atm_to_pa(100.0)
+        h = 1e-3
+        for material in gt.default_library():
+            def g(u):
+                return math.log(fem.solve_case(mesh, math.exp(u), material, p, bc).apex_deflection_um)
+
+            sol = fem.solve_case(mesh, t, material, p, bc)
+            exact = t * fem.apex_slope(sol) / sol.apex_deflection_um
+            central = (g(math.log(t) + h) - g(math.log(t) - h)) / (2.0 * h)
+            assert abs(exact - central) < 1e-7 + 4e-7
+
+    def test_leaves_the_solution_as_it_was(self, clamped_256):
+        arrays = (clamped_256.u_z_um, clamped_256.stiffness, clamped_256.factor)
+        kept = [a.copy() for a in arrays]
+        fem.apex_slope(clamped_256)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+
+
 class TestConditionEstimate:
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("bc", ["clamped", "pinned"])
@@ -648,6 +694,39 @@ class TestLeanSolve:
                 factor = fem.cholesky_banded(ab)
                 assert factor.flags.f_contiguous
                 assert factor.tobytes(order="F") == expected.tobytes(order="F")
+
+    def test_the_reference_case_keeps_its_stiffness_and_factor(self):
+        # sha256 of the reference case's constrained K (clamped, 150 um,
+        # carbon epoxy resin, 100 atm, 256 elements) and of its factor, in
+        # memory order.  K does not depend on the BLAS kernel; the factor
+        # does, so it is pinned under OpenBLAS's generic x86-64 kernel.
+        import platform
+
+        import numpy
+
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas or platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"the factor is pinned for OpenBLAS on x86-64, not {blas}")
+        script = (
+            "import hashlib, globtop as gt\n"
+            "from globtop import fem\n"
+            "mesh = fem.mesh_cap(gt.REFERENCE_GEOMETRY, 256)\n"
+            "cer = gt.default_library().get('Carbon epoxy resin')\n"
+            "sol = fem.solve_case(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
+            "print(hashlib.sha256(sol.stiffness.tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(sol.factor.tobytes(order='F')).hexdigest())\n"
+        )
+        src = str(Path(gt.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Prescott"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "d2c9da214bb230a07399b0370647569445d6e995cdff192bd85e6a2a570ef661",
+            "37c9fb6dddf6f0fa99f13d4a1d3dbf73422fc3035e7b73a989a09c6e1e2f7952",
+        ]
 
     def test_factor_and_back_solve(self):
         # K = [[4, 2, 0], [2, 5, 1], [0, 1, 2]]: the factor keeps K, and the

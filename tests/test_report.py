@@ -393,18 +393,20 @@ class TestRunStudy:
             assert 0.5 < row.ratio < 2.0
 
     def test_a_fem_study_builds_one_mesh(self, monkeypatch, tmp_path):
+        import numpy as np
+
         from globtop import fem, report, screening
 
-        meshes, builds = [], []
+        meshes, passes = [], []
         element_parts = fem._element_parts
 
         def counted_mesh(*args):
             meshes.append(args)
             return fem.mesh_cap(*args)
 
-        def counted_parts(mesh, nu):
-            builds.append(nu)
-            return element_parts(mesh, nu)
+        def counted_parts(meshes, nu):
+            passes.append(sorted(set(np.atleast_1d(nu).tolist())))
+            return element_parts(meshes, nu)
 
         monkeypatch.setattr(report, "mesh_cap", counted_mesh)
         monkeypatch.setattr(screening, "mesh_cap", counted_mesh)
@@ -414,8 +416,28 @@ class TestRunStudy:
         )
         run_study(config, tmp_path)
         assert meshes == [(config.geometry, 16)]
-        # Parylene C and carbon epoxy resin share nu = 0.4.
-        assert sorted(builds) == [0.35, 0.4]
+        # One element pass, for both ratios: Parylene C and carbon epoxy
+        # resin share nu = 0.4.
+        assert passes == [[0.35, 0.4]]
+
+    def test_the_fem_screen_solves_at_most_three_times_per_root(self, monkeypatch, tmp_path):
+        # The root finds start from the study's own responses; each material
+        # also has its worst-case solve at the thickness cap.
+        from globtop import screening
+
+        solved = []
+        solve = screening.solve_case
+
+        def recorded(mesh, t, material, *args):
+            solved.append(material.name)
+            return solve(mesh, t, material, *args)
+
+        monkeypatch.setattr(screening, "solve_case", recorded)
+        config = parse_config({"sources": ["analytical", "fem"], "profile_points": 5})
+        run_study(config, tmp_path)
+        assert config.fem_elements == 256
+        assert sorted(set(solved)) == sorted(m.name for m in config.library)
+        assert max(solved.count(name) for name in solved) <= 1 + 3
 
     def test_failing_compute_stage_writes_nothing(self, tmp_path):
         out = tmp_path / "kept"
@@ -528,6 +550,16 @@ class TestRunStudy:
             "profile_carbon_epoxy_resin.svg",
             "report.json",
         }
+
+    def test_a_new_directory_is_written_without_the_clean_up_scan(self, tmp_path, monkeypatch):
+        # A directory the write makes holds no earlier study to clean up.
+        scans = []
+        glob = Path.glob
+        monkeypatch.setattr(Path, "glob", lambda self, pattern: scans.append(pattern) or glob(self, pattern))
+        run_study(parse_config({"profile_points": 5}), tmp_path / "new" / "study")
+        assert scans == []
+        run_study(parse_config({"profile_points": 5}), tmp_path / "new" / "study")
+        assert len(scans) == 12
 
     def test_successful_rerun_clears_stale_marker(self, tmp_path):
         out = tmp_path / "recover"

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -152,77 +151,35 @@ class TestClassify:
         assert gt.classify(0.0, criteria) == "pass"
 
 
-_ROOT_SHAPES = {
-    # A FEM-like excess: log of a deflection falling as 1/t to 1/t**3.
-    "log-deflection": lambda u, c: math.log(
-        (math.exp(c - u) + 0.2 * math.exp(3 * (c - u))) / 1.2
-    ),
-    "cubic": lambda x, c: (x - c) ** 3 + 0.1 * (x - c),
-    "tanh": lambda x, c: math.tanh(x - c) + 0.01 * (x - c) ** 3,
-    "wiggly": lambda x, c: x - c + 0.3 * math.sin(7 * (x - c)),
-}
+class TestSeed:
+    """The root find's seed: where the quadratic through three points falls
+    through the level."""
 
+    def test_the_falling_root_of_a_parabola(self):
+        from globtop.screening import _seed
 
-def _recorded(f, c):
-    points = []
+        # 1 - (u - 1)**2 rises through 0 at u = 0 and falls through it at u = 2.
+        points = [(u, 1.0 - (u - 1.0) ** 2) for u in (1.5, 0.5, 1.0)]
+        assert _seed(points, 0.0) == pytest.approx(2.0, rel=1e-15)
 
-    def g(x):
-        points.append(x)
-        return f(x, c)
+    def test_a_falling_line(self):
+        from globtop.screening import _seed
 
-    return g, points
+        assert _seed([(u, 3.0 - 2.0 * u) for u in (0.0, 1.0, 2.0)], 0.0) == 1.5
 
+    @pytest.mark.parametrize(
+        "points, level",
+        [
+            ([(0.0, 1.0), (1.0, 0.0)], 0.5),  # two points
+            ([(u, u) for u in (0.0, 1.0, 2.0)], 1.5),  # rising
+            ([(u, 1.0 - (u - 1.0) ** 2) for u in (0.5, 1.0, 1.5)], 2.0),  # never reaches it
+        ],
+        ids=["two-points", "rising", "above-the-top"],
+    )
+    def test_no_falling_root(self, points, level):
+        from globtop.screening import _seed
 
-class TestBrentq:
-    """``screening.brentq`` is scipy's Brent method to the bit."""
-
-    # A coarse xtol reaches the steps that the tolerance itself decides.
-    @pytest.mark.parametrize("log_xtol", [(-11.7, -4.0), (-3.0, 0.0)], ids=["fine", "coarse"])
-    @pytest.mark.parametrize("maxiter", [2, 100])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["lo-hi", "hi-lo"])
-    @pytest.mark.parametrize("shape", sorted(_ROOT_SHAPES))
-    def test_matches_scipy(self, shape, reverse, maxiter, log_xtol):
-        from scipy import optimize
-
-        from globtop import screening
-
-        f = _ROOT_SHAPES[shape]
-        rng = random.Random(f"{shape}-{reverse}-{maxiter}-{log_xtol}")
-        for _ in range(100):
-            c = rng.uniform(-3.0, 3.0)
-            a, b = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
-            if reverse:
-                a, b = b, a
-            xtol = 10.0 ** rng.uniform(*log_xtol)
-            ours, our_points = _recorded(f, c)
-            theirs, their_points = _recorded(f, c)
-            root, converged = screening.brentq(ours, a, b, xtol=xtol, maxiter=maxiter)
-            expected, info = optimize.brentq(
-                theirs, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False
-            )
-            assert (root, converged) == (expected, info.converged)
-            assert our_points == their_points
-
-    @pytest.mark.parametrize("end", [0, 1], ids=["zero-at-a", "zero-at-b"])
-    def test_a_zero_at_an_end_is_the_root(self, end):
-        from scipy import optimize
-
-        from globtop import screening
-
-        ends = [-1.5, 2.0]
-        ends[end] = 0.5
-        f = _ROOT_SHAPES["cubic"]
-        ours, our_points = _recorded(f, 0.5)
-        theirs, their_points = _recorded(f, 0.5)
-        assert screening.brentq(ours, *ends) == (0.5, True)
-        assert optimize.brentq(theirs, *ends) == 0.5
-        assert our_points == their_points == [ends[0], ends[1]]
-
-    def test_ends_of_the_same_sign_are_a_value_error(self):
-        from globtop import screening
-
-        with pytest.raises(ValueError, match="different signs"):
-            screening.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert _seed(points, level) is None
 
 
 class TestScreenAnalytical:
@@ -329,48 +286,54 @@ class TestScreenFem:
         # One worst-case solve per material; the rest are the root finds.
         assert len(solves) - len(library) <= 30
 
-    def test_root_find_never_solves_a_thickness_twice(
-        self, monkeypatch, library, reference_cap, criteria
-    ):
+    # Polyimide seeded at 20 um on 16 elements: Newton's first step jumps to
+    # 1766 um, past the root at 435 um, where |g| has grown, so the third
+    # point bisects the bracket [20, 1766] um in log t.
+    _BAD_SEED_UM = 20.0
+
+    def _recorded_root(self, monkeypatch, material, reference_cap, criteria, seed_um):
         from globtop import screening
 
-        solves, evals = [], []
-        solve, brentq = screening.solve_case, screening.brentq
+        solved = []
+        solve = screening.solve_case
 
-        def recorded_solve(mesh, t, material, *args):
-            solves.append((material.name, t))
-            return solve(mesh, t, material, *args)
+        def recorded(mesh, t, *args):
+            solved.append(t)
+            return solve(mesh, t, *args)
 
-        def recorded_brentq(f, a, b, **kwargs):
-            evals.append(a)
-            return brentq(f, a, b, **kwargs)
+        monkeypatch.setattr(screening, "solve_case", recorded)
+        root = screening._fem_min_thickness(
+            material, reference_cap, gt.mesh_cap(reference_cap, 16), gt.atm_to_pa(100.0),
+            criteria.deflection_limit_um, "clamped", None if seed_um is None else math.log(seed_um),
+        )
+        return root, solved
 
-        monkeypatch.setattr(screening, "solve_case", recorded_solve)
-        monkeypatch.setattr(screening, "brentq", recorded_brentq)
-        mesh = gt.mesh_cap(reference_cap, 16)
-        p = gt.atm_to_pa(criteria.max_pressure_atm)
-        for material in library:
-            screening._fem_min_thickness(
-                material, reference_cap, mesh, p, criteria.deflection_limit_um, "clamped"
-            )
-        assert len(evals) == len(library)
-        assert len(solves) == len(set(solves))
+    def test_root_find_never_solves_a_thickness_twice(self, monkeypatch, library, reference_cap, criteria):
+        # From the closed form, and from seeds far below and above the root.
+        for seed_um in (None, 0.5, self._BAD_SEED_UM, 2000.0):
+            for material in library:
+                _, solved = self._recorded_root(monkeypatch, material, reference_cap, criteria, seed_um)
+                assert len(solved) == len(set(solved))
 
-    def test_unconverged_root_find_raises(self, monkeypatch, cer, reference_cap, criteria):
+    def test_a_bad_seed_falls_back_to_bisection(self, monkeypatch, library, reference_cap, criteria):
+        polyimide = library.get("Polyimide")
+        good, _ = self._recorded_root(monkeypatch, polyimide, reference_cap, criteria, None)
+        root, solved = self._recorded_root(
+            monkeypatch, polyimide, reference_cap, criteria, self._BAD_SEED_UM
+        )
+        first, second, third = solved[:3]
+        assert third == pytest.approx(math.sqrt(first * second), rel=1e-12)
+        assert root == pytest.approx(good, rel=2e-8)
+
+    def test_unconverged_root_find_raises(self, monkeypatch, library, reference_cap, criteria):
         from globtop import screening
 
-        brentq = screening.brentq
-
-        def capped(f, a, b, **kwargs):
-            return brentq(f, a, b, maxiter=2, **kwargs)
-
-        monkeypatch.setattr(screening, "brentq", capped)
-        library = gt.MaterialLibrary([cer])
+        monkeypatch.setattr(screening, "_ROOT_MAXITER", 2)
         with pytest.raises(
-            gt.SolverError, match=r"did not converge in \[[0-9.e+]+, [0-9.e+]+\] um after"
+            gt.SolverError, match=r"did not converge in \[20, 1765.[0-9]+\] um after 2 iterations"
         ):
-            gt.screen(
-                library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 16)
+            self._recorded_root(
+                monkeypatch, library.get("Polyimide"), reference_cap, criteria, self._BAD_SEED_UM
             )
 
     def test_no_feasible_thickness_up_to_the_sphere_radius(self, cer, reference_cap):

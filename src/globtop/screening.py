@@ -23,6 +23,7 @@ is part of the answer.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 from .errors import ConfigError, InputDomainError, Record, SolverError, choice, integer, number, numbers, real
@@ -51,6 +52,8 @@ _ROOT_XTOL = 1e-8
 # this leaves under half the root tolerance, and is taken without a solve.
 _NEWTON_STOP = math.sqrt(0.5 * _ROOT_XTOL / 0.4)
 _ROOT_MAXITER = 100
+# scipy.optimize.brentq's smallest and default relative tolerance.
+_RTOL = 4 * sys.float_info.epsilon
 
 
 class ScreeningCriteria(Record):
@@ -211,6 +214,63 @@ def solve_case(
     from . import fem
 
     return fem._solve_case(mesh, thickness_um, material, pressure_pa, bc)
+
+
+def brentq(
+    f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100
+) -> tuple[float, bool]:
+    """Root of ``f`` in [a, b] by Brent's method: ``(root, converged)``.
+
+    A step-for-step port of scipy's ``brentq.c``, with its defaults and its
+    ``rtol``, so each point evaluated and the root are scipy's bits, without
+    loading ``scipy.optimize``.  The FEM screen's Newton method does not
+    call it; ``bench/spans.py`` still hooks it, until the benchmark counts
+    root evaluations on ``_fem_min_thickness``.  The ends may come in
+    either order.  A zero at an end is returned at once; ends of the same
+    sign are a ValueError, as in scipy.  ``f`` must not return NaN.
+    ``converged`` is False when ``maxiter`` steps leave the bracket wider
+    than ``xtol + _RTOL*|root|``.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, False
 
 
 def _seed(points, level: float) -> float | None:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -149,6 +150,79 @@ class TestClassify:
         assert gt.classify(262.5000001, criteria) == "fail"
         assert gt.classify(math.inf, criteria) == "fail"
         assert gt.classify(0.0, criteria) == "pass"
+
+
+_ROOT_SHAPES = {
+    # A FEM-like excess: log of a deflection falling as 1/t to 1/t**3.
+    "log-deflection": lambda u, c: math.log(
+        (math.exp(c - u) + 0.2 * math.exp(3 * (c - u))) / 1.2
+    ),
+    "cubic": lambda x, c: (x - c) ** 3 + 0.1 * (x - c),
+    "tanh": lambda x, c: math.tanh(x - c) + 0.01 * (x - c) ** 3,
+    "wiggly": lambda x, c: x - c + 0.3 * math.sin(7 * (x - c)),
+}
+
+
+def _recorded(f, c):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x, c)
+
+    return g, points
+
+
+class TestBrentq:
+    """``screening.brentq`` is scipy's Brent method to the bit."""
+
+    # A coarse xtol reaches the steps that the tolerance itself decides.
+    @pytest.mark.parametrize("log_xtol", [(-11.7, -4.0), (-3.0, 0.0)], ids=["fine", "coarse"])
+    @pytest.mark.parametrize("maxiter", [2, 100])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["lo-hi", "hi-lo"])
+    @pytest.mark.parametrize("shape", sorted(_ROOT_SHAPES))
+    def test_matches_scipy(self, shape, reverse, maxiter, log_xtol):
+        from scipy import optimize
+
+        from globtop import screening
+
+        f = _ROOT_SHAPES[shape]
+        rng = random.Random(f"{shape}-{reverse}-{maxiter}-{log_xtol}")
+        for _ in range(100):
+            c = rng.uniform(-3.0, 3.0)
+            a, b = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
+            if reverse:
+                a, b = b, a
+            xtol = 10.0 ** rng.uniform(*log_xtol)
+            ours, our_points = _recorded(f, c)
+            theirs, their_points = _recorded(f, c)
+            root, converged = screening.brentq(ours, a, b, xtol=xtol, maxiter=maxiter)
+            expected, info = optimize.brentq(
+                theirs, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False
+            )
+            assert (root, converged) == (expected, info.converged)
+            assert our_points == their_points
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["zero-at-a", "zero-at-b"])
+    def test_a_zero_at_an_end_is_the_root(self, end):
+        from scipy import optimize
+
+        from globtop import screening
+
+        ends = [-1.5, 2.0]
+        ends[end] = 0.5
+        f = _ROOT_SHAPES["cubic"]
+        ours, our_points = _recorded(f, 0.5)
+        theirs, their_points = _recorded(f, 0.5)
+        assert screening.brentq(ours, *ends) == (0.5, True)
+        assert optimize.brentq(theirs, *ends) == 0.5
+        assert our_points == their_points == [ends[0], ends[1]]
+
+    def test_ends_of_the_same_sign_are_a_value_error(self):
+        from globtop import screening
+
+        with pytest.raises(ValueError, match="different signs"):
+            screening.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestSeed:

@@ -219,18 +219,14 @@ def _cmd_study(args) -> int:
 
 def _cmd_anova(args) -> int:
     from .doe import read_responses_csv
-    from .stats import anova_table, effect_tests, effects_to_csv_text, effects_to_json, fit_screening_model
+    from .stats import analysis_json, anova_table, effect_tests, effects_to_csv_text, fit_screening_model
 
     results = read_responses_csv(args.responses)
     fit = fit_screening_model(results)
     table = anova_table(fit)
     effects = effect_tests(fit)
     if args.format == "json":
-        print(json.dumps({
-            "fit": fit.to_json_dict(),
-            "anova": table.to_json_dict(),
-            "effects": effects_to_json(effects),
-        }, indent=2, sort_keys=True))
+        print(json.dumps(analysis_json(fit, table, effects), indent=2, sort_keys=True))
     elif args.format == "csv":
         sys.stdout.write(table.to_csv_text())
         sys.stdout.write(effects_to_csv_text(effects))

@@ -18,9 +18,8 @@ import io
 import math
 from collections.abc import Callable, Sequence
 from functools import partial
-from pathlib import Path
 
-from .errors import ConfigError, Record, ResponderError, numbers, read_text
+from .errors import ConfigError, Record, ResponderError, csv_text, numbers, read_text, write_text
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase
@@ -28,6 +27,7 @@ from .units import ATM_PA, atm_to_pa
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from pathlib import Path
     from typing import IO
 
     # A column of 9 responses in run order, or a callable giving one per run.
@@ -274,42 +274,29 @@ _PLAN_HEADER = [
 _RESPONSE_HEADER = ["run", "material", "thickness_um", "pressure_atm", "response_um", "source"]
 
 
-def _write(target: str | Path | IO[str], text: str) -> None:
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
-
-
 def plan_to_csv(plan: ExperimentPlan, target: str | Path | IO[str]) -> None:
     """Write the plan with realized settings and level codes."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_PLAN_HEADER)
-    for r in plan.runs:
-        writer.writerow(
-            [r.run, r.material.name, f"{r.thickness_um:g}", f"{r.pressure_atm:g}", *r.codes]
-        )
-    _write(target, buf.getvalue())
+    rows = [
+        [r.run, r.material.name, f"{r.thickness_um:g}", f"{r.pressure_atm:g}", *r.codes]
+        for r in plan.runs
+    ]
+    write_text(target, csv_text(_PLAN_HEADER, rows))
 
 
 def results_to_csv(results: Sequence[RunResult], target: str | Path | IO[str]) -> None:
     """Write a response table; deflections are printed at 2 decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_RESPONSE_HEADER)
-    for r in results:
-        writer.writerow(
-            [
-                r.run,
-                r.material_name,
-                f"{r.thickness_um:g}",
-                f"{r.pressure_atm:g}",
-                f"{r.response_um:.2f}",
-                r.source,
-            ]
-        )
-    _write(target, buf.getvalue())
+    rows = [
+        [
+            r.run,
+            r.material_name,
+            f"{r.thickness_um:g}",
+            f"{r.pressure_atm:g}",
+            f"{r.response_um:.2f}",
+            r.source,
+        ]
+        for r in results
+    ]
+    write_text(target, csv_text(_RESPONSE_HEADER, rows))
 
 
 def read_responses_csv(path: str | Path) -> tuple[RunResult, ...]:

@@ -6,12 +6,17 @@ ValueErrors, numerical failures are not.  ``real`` is the one check that a
 value is a number, shared by the input schema and the domain constructors.
 The schema, ``resolve`` and its row validators, reads study configs, their
 geometry blocks and material libraries alike.  ``Record`` is the base of the
-package's immutable value classes.  Both live here because every module that
-defines a value class or a schema table already imports this module.
+package's immutable value classes, and its ``as_dict`` their JSON form.
+``read_text``, ``write_text`` and ``csv_text`` are the package's one way to
+read an input file, to write an artifact to a path or a stream, and to turn
+rows into CSV with each field quoted where it needs it.  They all live here
+because every module that defines a value class, a schema table or an
+artifact already imports this module.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Mapping
 from numbers import Real
@@ -82,6 +87,30 @@ def read_text(path, what: str) -> str:
             return file.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(target, text: str) -> None:
+    """Write ``text`` to ``target``: a stream, or a path written as UTF-8."""
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w", encoding="utf-8") as file:
+            file.write(text)
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of ``header`` and ``rows``, each field quoted where it needs it.
+
+    A numeric-only table is cheaper to join by hand: none of its fields can
+    need quoting.
+    """
+    import csv  # here, so that a command writing no CSV does not load it
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # The input schema.  A table is a tuple of rows (key, validator, default),
@@ -207,6 +236,11 @@ class Record:
 
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def as_dict(self) -> dict:
+        """The fields by name, the JSON form of a value class."""
+        values = self.__dict__
+        return {key: values[key] for key in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

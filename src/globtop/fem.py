@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputDomainError, MeshError, Record, SolverError
+from .errors import InputDomainError, MeshError, Record, SolverError, write_text
 from .geometry import CapGeometry
 from .materials import Material
 from .screening import BOUNDARY_CONDITIONS, FEM_MAX_ELEMENTS
@@ -732,11 +732,7 @@ class FemSolution(Record):
             f"{p:.12g},{ui:.12g},{wi:.12g},{bi:.12g}\n"
             for p, ui, wi, bi in zip(phi_deg, u, w, self.rotation_rad)
         ]
-        text = "".join(lines)
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
+        write_text(target, "".join(lines))
 
 
 def solve_case(

@@ -81,12 +81,20 @@ class CapGeometry(Record):
         }
 
 
-def solve_cap(base_half_width_um: float, rise_um: float) -> CapGeometry:
+def _spelled(names: Mapping[str, str] | None, *keys: str) -> tuple[str, ...]:
+    """Each of ``keys`` as ``names`` spells it, if it does."""
+    return tuple((names or {}).get(key, key) for key in keys)
+
+
+def solve_cap(
+    base_half_width_um: float, rise_um: float, names: Mapping[str, str] | None = None
+) -> CapGeometry:
     """Solve the cap from base half-width and apex rise.
 
     Args:
         base_half_width_um: half-width b of the circular footprint, um.
         rise_um: apex height h above the base plane, um; 0 < h <= b.
+        names: spells the keys in the messages, as ``cap_from_config`` takes it.
 
     Returns:
         The consistent CapGeometry.
@@ -94,11 +102,12 @@ def solve_cap(base_half_width_um: float, rise_um: float) -> CapGeometry:
     Raises:
         InputDomainError: on non-positive, non-finite, or h > b inputs.
     """
-    b = _require_finite_positive("base_half_width_um", base_half_width_um)
-    h = _require_finite_positive("rise_um", rise_um)
+    b_name, h_name = _spelled(names, "base_half_width_um", "rise_um")
+    b = _require_finite_positive(b_name, base_half_width_um)
+    h = _require_finite_positive(h_name, rise_um)
     if h > b:
         raise InputDomainError(
-            f"rise_um={h} exceeds base_half_width_um={b}; "
+            f"{h_name}={h} exceeds {b_name}={b}; "
             "caps taller than a hemisphere are not supported"
         )
     a = (b * b + h * h) / (2.0 * h)
@@ -112,13 +121,19 @@ def solve_cap(base_half_width_um: float, rise_um: float) -> CapGeometry:
     )
 
 
-def from_radius_angle(radius_um: float, base_angle_deg: float) -> CapGeometry:
-    """Build the cap from sphere radius and base angle in degrees."""
-    a = _require_finite_positive("radius_um", radius_um)
-    alpha = math.radians(real("base_angle_deg", base_angle_deg))
+def from_radius_angle(
+    radius_um: float, base_angle_deg: float, names: Mapping[str, str] | None = None
+) -> CapGeometry:
+    """Build the cap from sphere radius and base angle in degrees.
+
+    ``names`` spells the keys in the messages, as ``cap_from_config`` takes it.
+    """
+    a_name, alpha_name = _spelled(names, "radius_um", "base_angle_deg")
+    a = _require_finite_positive(a_name, radius_um)
+    alpha = math.radians(real(alpha_name, base_angle_deg))
     if not 0.0 < alpha <= math.pi / 2:
         raise InputDomainError(
-            f"base_angle_deg must lie in (0, 90], got {base_angle_deg!r}"
+            f"{alpha_name} must lie in (0, 90], got {base_angle_deg!r}"
         )
     return CapGeometry(
         base_half_width_um=a * math.sin(alpha),
@@ -151,8 +166,7 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
     the messages of a malformed block, as ``errors.resolve`` takes it.
     """
     values = resolve(CAP_ROWS, dict, "geometry", block, names)  # no other keys, and each positive
-    names = names or {}
-    spelled = ["/".join(names.get(key, key) for key in pair) for pair, _ in _FORMS]
+    spelled = ["/".join(_spelled(names, *pair)) for pair, _ in _FORMS]
     given = [(pair, build) for pair, build in _FORMS if any(key in block for key in pair)]
     if len(given) != 1:
         raise ConfigError(
@@ -161,9 +175,9 @@ def cap_from_config(block: Mapping, names: Mapping[str, str] | None = None) -> C
         )
     [(pair, build)] = given
     if not all(key in block for key in pair):
-        first, second = (names.get(key, key) for key in pair)
+        first, second = _spelled(names, *pair)
         raise ConfigError(f"geometry: {first} and {second} must be given together")
-    return build(*(values[key] for key in pair))
+    return build(*(values[key] for key in pair), names=names)
 
 
 REFERENCE_CAP = {"radius_um": 3010.0, "base_angle_deg": 23.5}

@@ -56,9 +56,6 @@ class Material(Record):
     def youngs_modulus_pa(self) -> float:
         return self.youngs_modulus_gpa * GPA_PA
 
-    def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self._fields}
-
 
 class MaterialLibrary(Record):
     """Ordered collection of materials with case-insensitive name lookup."""

@@ -35,7 +35,7 @@ from .doe import (
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, Record, StageError, numbers, read_text, resolve
+from .errors import ConfigError, Record, StageError, csv_text, numbers, read_text, resolve
 from .geometry import REFERENCE_CAP, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, library_block, load_library_file
 from .screening import (
@@ -54,10 +54,10 @@ from .stats import (
     AnovaTable,
     EffectTest,
     ScreeningFit,
+    analysis_json,
     anova_table,
     effect_tests,
     effects_to_csv_text,
-    effects_to_json,
     fit_screening_model,
 )
 from .units import ATM_PA_ROW
@@ -138,8 +138,6 @@ def _jsonable(value):
     """The hashed JSON form of a resolved domain object."""
     if isinstance(value, MaterialLibrary):
         return list(value)
-    if isinstance(value, ScreeningCriteria):
-        return {name: getattr(value, name) for name in value._fields}
     return value.as_dict()
 
 
@@ -327,10 +325,11 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         )
         with _stage("comparison"):
             comparison = compare_columns(*(columns[s] for s in pair))
-            files["comparison.csv"] = "run,simulated_um,calculated_um,ratio,error_pct\n" + "".join(
-                f"{r.run},{r.simulated_um:.2f},{r.calculated_um:.2f},{r.ratio:.4f},{r.error_pct:.2f}\n"
+            rows = [
+                [r.run, f"{r.simulated_um:.2f}", f"{r.calculated_um:.2f}", f"{r.ratio:.4f}", f"{r.error_pct:.2f}"]
                 for r in comparison
-            )
+            ]
+            files["comparison.csv"] = csv_text(ComparisonRow._fields, rows)
 
     analyses = []
     for source in config.sources:
@@ -364,14 +363,13 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         )
 
     with _stage("screening"):
-        lines = ["material,source,min_feasible_thickness_um,worst_case_deflection_um,classification\n"]
+        rows = []
         for v in (v for a in analyses for v in a.verdicts):
             t_min = "inf" if math.isinf(v.min_feasible_thickness_um) else f"{v.min_feasible_thickness_um:.4f}"
-            lines.append(
-                f"{v.material_name},{v.source},{t_min},"
-                f"{v.worst_case_deflection_um:.2f},{v.classification}\n"
-            )
-        files["verdicts.csv"] = "".join(lines)
+            rows.append([v.material_name, v.source, t_min, f"{v.worst_case_deflection_um:.2f}", v.classification])
+        files["verdicts.csv"] = csv_text(
+            ("material", "source", "min_feasible_thickness_um", "worst_case_deflection_um", "classification"), rows
+        )
 
     with _stage("profiles"):
         from .svgplot import Series, line_plot
@@ -478,14 +476,7 @@ def _report_doc(report: StudyReport) -> dict:
             ]
             for a in report.analyses
         },
-        "stats": {
-            a.source: {
-                "fit": a.fit.to_json_dict(),
-                "anova": a.anova.to_json_dict(),
-                "effects": effects_to_json(a.effects),
-            }
-            for a in report.analyses
-        },
+        "stats": {a.source: analysis_json(a.fit, a.anova, a.effects) for a in report.analyses},
         "verdicts": {
             a.source: [v.as_dict() for v in a.verdicts] for a in report.analyses
         },
@@ -494,15 +485,6 @@ def _report_doc(report: StudyReport) -> dict:
         else {
             "simulated_source": report.comparison_sources[0],
             "calculated_source": report.comparison_sources[1],
-            "rows": [
-                {
-                    "run": r.run,
-                    "simulated_um": r.simulated_um,
-                    "calculated_um": r.calculated_um,
-                    "ratio": r.ratio,
-                    "error_pct": r.error_pct,
-                }
-                for r in report.comparison
-            ],
+            "rows": [r.as_dict() for r in report.comparison],
         },
     }

@@ -36,14 +36,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from functools import partial
-from pathlib import Path
 
-from .errors import InputDomainError, Record, integer
+from .errors import InputDomainError, Record, integer, write_text
 from .geometry import CapGeometry, thinness_ratio
 from .materials import Material
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from pathlib import Path
     from typing import IO
 
 _PHI_SLACK = 1e-12
@@ -165,11 +165,7 @@ class DeflectionProfile(Record):
         """Write phi_deg, v_um, w_um rows at full precision."""
         lines = ["phi_deg,v_um,w_um\n"]
         lines += [f"{p:.12g},{v:.12g},{w:.12g}\n" for p, v, w in self.rows()]
-        text = "".join(lines)
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
+        write_text(target, "".join(lines))
 
 
 def profile(case: ShellCase, n_samples: int) -> DeflectionProfile:

@@ -20,12 +20,10 @@ integration of the F density.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Sequence
 
-from .errors import FitError, InputDomainError, Record, SolverError
+from .errors import FitError, InputDomainError, Record, SolverError, csv_text
 from .doe import RunResult, audit_orthogonality
 
 _CF_EPS = 1e-15
@@ -154,26 +152,15 @@ class AnovaTable(Record):
         raise KeyError(source)
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["source", "df", "ss", "ms", "f", "p"])
-        for r in self.rows:
-            writer.writerow(
-                [r.source, r.df, _fmt4(r.ss), _fmt4(r.ms), _fmt4(r.f), _fmt4(r.p)]
-            )
+        rows = [
+            [r.source, r.df, _fmt4(r.ss), _fmt4(r.ms), _fmt4(r.f), _fmt4(r.p)] for r in self.rows
+        ]
         if self.ss_total_uncorrected is not None:
-            writer.writerow(
-                ["Total (uncorrected)", 9, _fmt4(self.ss_total_uncorrected), "", "", ""]
-            )
-        return buf.getvalue()
+            rows.append(["Total (uncorrected)", 9, _fmt4(self.ss_total_uncorrected), "", "", ""])
+        return csv_text(AnovaRow._fields, rows)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "rows": [
-                {"source": r.source, "df": r.df, "ss": r.ss, "ms": r.ms, "f": r.f, "p": r.p}
-                for r in self.rows
-            ]
-        }
+        doc = {"rows": [r.as_dict() for r in self.rows]}
         if self.ss_total_uncorrected is not None:
             doc["ss_total_uncorrected"] = self.ss_total_uncorrected
         return doc
@@ -415,26 +402,22 @@ def anova_table(fit: ScreeningFit) -> AnovaTable:
 
 
 def effects_to_csv_text(effects: Sequence[EffectTest]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "n_params", "df", "ss", "f", "p", "degenerate"])
-    for e in effects:
-        writer.writerow(
-            [e.source, e.n_params, e.df, _fmt4(e.ss), _fmt4(e.f), _fmt4(e.p), int(e.degenerate)]
-        )
-    return buf.getvalue()
+    rows = [
+        [e.source, e.n_params, e.df, _fmt4(e.ss), _fmt4(e.f), _fmt4(e.p), int(e.degenerate)]
+        for e in effects
+    ]
+    return csv_text(EffectTest._fields, rows)
 
 
 def effects_to_json(effects: Sequence[EffectTest]) -> list[dict]:
-    return [
-        {
-            "source": e.source,
-            "n_params": e.n_params,
-            "df": e.df,
-            "ss": e.ss,
-            "f": e.f,
-            "p": e.p,
-            "degenerate": e.degenerate,
-        }
-        for e in effects
-    ]
+    return [e.as_dict() for e in effects]
+
+
+def analysis_json(fit: ScreeningFit, anova: AnovaTable, effects: Sequence[EffectTest]) -> dict:
+    """One source's {fit, anova, effects} document: ``anova --format json``
+    prints it, and a study's report.json holds it under ``stats``."""
+    return {
+        "fit": fit.to_json_dict(),
+        "anova": anova.to_json_dict(),
+        "effects": effects_to_json(effects),
+    }

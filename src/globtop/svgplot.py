@@ -32,6 +32,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data; html.escape would import html.entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -77,7 +82,7 @@ def line_plot(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
     for tx in _ticks(x_lo, x_hi):
         px = sx(tx)
@@ -112,7 +117,7 @@ def line_plot(
         if h_line_label:
             parts.append(
                 f'<text x="{_WIDTH - _MARGIN_R - 4}" y="{py - 6:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="#666666">{h_line_label}</text>'
+                f'font-family="sans-serif" font-size="11" fill="#666666">{_escape(h_line_label)}</text>'
             )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -122,16 +127,16 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L + 10}" y="{_MARGIN_T + 18 + 16 * i}" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{s.label}</text>'
+            f'font-family="sans-serif" font-size="12" fill="{color}">{_escape(s.label)}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {_MARGIN_T + ph / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {_MARGIN_T + ph / 2:.1f})">{_escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

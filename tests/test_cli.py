@@ -117,6 +117,24 @@ def test_closed_form_paths_leave_numpy_and_scipy_out(script, tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_commands_that_write_no_quoted_csv_leave_csv_out(tmp_path):
+    # errors.csv_text imports csv when it is called; the profile CSV of
+    # deflect --out is numeric and joined without it.
+    proc = _run_python(
+        "import contextlib, io, pathlib, sys\nfrom globtop import cli\n"
+        "out = str(pathlib.Path(sys.argv[1]) / 'profile.csv')\n"
+        "runs = [['geometry'], ['optimize'], ['deflect', '--material', 'Polyimide', '--thickness-um', '150',"
+        " '--pressure-atm', '80', '--out', out]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert [cli.main(argv) for argv in runs] == [0, 0, 0]\n"
+        "assert pathlib.Path(out).is_file()\n"
+        "print('csv' in sys.modules)",
+        work=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
     # Nor typing, which the value modules import only for type checkers.  -S
     # keeps site's .pth files from importing importlib.resources and typing first.
@@ -390,6 +408,9 @@ class TestGeometry:
             (["geometry", "--radius-um", "inf", "--angle-deg", "20"], "--radius-um must be a finite number"),
             ([*_FEM_CASE, "--radius-um", "3010", "--angle-deg", "-5"], "--angle-deg must be positive, got -5.0"),
             (["deflect", *_FEM_CASE[1:], "--b-um", "nan", "--h-um", "250"], "--b-um must be a finite number"),
+            # The cross-key checks of each form.
+            (["geometry", "--b-um", "1", "--h-um", "5"], "--h-um=5.0 exceeds --b-um=1.0"),
+            (["geometry", "--radius-um", "100", "--angle-deg", "95"], "--angle-deg must lie in (0, 90], got 95.0"),
         ],
     )
     def test_form_errors_name_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):

@@ -90,6 +90,11 @@ class TestValueSemantics:
     def test_repr_lists_every_field(self):
         assert repr(Point(1.0, 2.0)) == "Point(x=1.0, y=2.0, label='origin', tags=())"
 
+    def test_as_dict_gives_the_fields_by_name(self):
+        assert Point(1.0, 2.0).as_dict() == {"x": 1.0, "y": 2.0, "label": "origin", "tags": ()}
+        assert list(Point(1.0, 2.0).as_dict()) == list(Point._fields)
+        assert Scaled(2, scale=3.0).as_dict() == {"value": 6.0, "scale": 3.0}
+
 
 class TestPackageRecords:
     def test_materials_hash_by_value(self):
@@ -102,3 +107,20 @@ class TestPackageRecords:
         assert criteria.deflection_limit_um == 5.0
         assert criteria.thickness_range_um == (150.0, 250.0)
         assert criteria == gt.ScreeningCriteria()
+
+    def test_json_forms_keep_their_keys(self):
+        # Material's is the fields; CapGeometry and Verdict override theirs.
+        assert gt.Material("Polyimide", 7.5, 0.35).as_dict() == {
+            "name": "Polyimide", "youngs_modulus_gpa": 7.5, "poisson_ratio": 0.35
+        }
+        geometry = gt.solve_cap(1200.0, 250.0)
+        assert set(geometry.as_dict()) == {"base_half_width_um", "rise_um", "radius_um", "base_angle_deg"}
+        assert geometry.as_dict()["base_angle_deg"] == geometry.base_angle_deg
+        verdict = gt.Verdict("Polyimide", "fem", float("inf"), 6.0, "fail")
+        assert verdict.as_dict() == {
+            "material": "Polyimide",
+            "source": "fem",
+            "min_feasible_thickness_um": "inf",
+            "worst_case_deflection_um": 6.0,
+            "classification": "fail",
+        }

@@ -1,8 +1,11 @@
 import contextlib
+import csv
 import fnmatch
+import io
 import itertools
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +120,21 @@ def full_study(tmp_path_factory):
     config = parse_config(FULL_CONFIG)
     report = run_study(config, out)
     return config, report, out
+
+
+# Names that CSV must quote and SVG must escape.
+AWKWARD_NAMES = ("Polyimide, <PI-2611> & co", 'Parylene "C"', "Carbon epoxy resin")
+
+
+@pytest.fixture(scope="module")
+def awkward_study(tmp_path_factory):
+    out = tmp_path_factory.mktemp("awkward")
+    library = gt.default_library()
+    materials = [dict(m.as_dict(), name=name) for m, name in zip(library, AWKWARD_NAMES)]
+    doc = {"materials": {"materials": materials}, "sources": ["analytical", "fem"],
+           "fem": {"n_elements": 16}, "profile_points": 5}
+    run_study(parse_config(doc), out)
+    return out
 
 
 class TestParseConfig:
@@ -365,6 +383,24 @@ class TestRunStudy:
         assert svg.startswith("<svg ")
         assert "Polyimide" in svg
         assert "limit" in svg
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [("plan.csv", 1), ("responses_analytical.csv", 1), ("responses_fem.csv", 1), ("verdicts.csv", 0)],
+    )
+    def test_csv_quotes_the_material_names(self, awkward_study, name, column):
+        header, *rows = csv.reader(io.StringIO((awkward_study / name).read_text(encoding="utf-8")))
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+        assert {row[column] for row in rows} == set(AWKWARD_NAMES)
+
+    def test_every_svg_parses(self, awkward_study):
+        titles = [
+            ElementTree.parse(path).getroot().find("{http://www.w3.org/2000/svg}text").text
+            for path in awkward_study.glob("*.svg")
+        ]
+        assert len(titles) == 3
+        assert any("Polyimide, <PI-2611> & co" in title for title in titles)
 
     def test_rerun_is_byte_identical(self, full_study, tmp_path):
         _, _, out = full_study

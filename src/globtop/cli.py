@@ -277,6 +277,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_fem(args) -> int:
     from .screening import FEM_ROWS
 
+    if args.converge and args.out:
+        raise InputDomainError("--out writes one solve's nodal CSV; --converge writes none")
     options = _resolve(args, (*FEM_ROWS, ATM_PA_ROW))
     n_elements, bc = options["n_elements"], options["bc"]
     if args.converge and (n_elements < 32 or n_elements % 8):

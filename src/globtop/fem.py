@@ -74,6 +74,25 @@ _GAUSS_W = np.array(
 )
 _N_TO_PA_UM2 = 1.0e-12  # 1 Pa * um^2 in newtons
 
+# Tables over the Gauss points mapped to [0, 1], shaped (node, gauss, 1)
+# against the elements' axis, that do not depend on the element: the
+# factors in xi of the cubic Hermite shapes of w (w1, beta1, w2, beta2), of
+# their first and second derivatives negated, and the membrane shapes
+# 1 - xi and xi of u.  The length still scales them, as the shapes' own
+# expressions do.  Negating a table before a division by the length gives
+# the bits of negating the quotient, and the derivatives of w2 are those of
+# w1 negated to the bit: 6 xi - 6 xi^2 rounds to -(-6 xi + 6 xi^2).
+_NODE_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+_XI = (0.5 * (_GAUSS_X + 1.0))[:, None]
+_H_W = np.array([1.0 - 3.0 * _XI**2 + 2.0 * _XI**3, 3.0 * _XI**2 - 2.0 * _XI**3])
+_H_BETA = np.array([_XI - 2.0 * _XI**2 + _XI**3, -(_XI**2) + _XI**3])  # times length
+_NEG_DH_W = -_NODE_SIGNS * (6.0 * _XI - 6.0 * _XI**2)  # / length
+_NEG_DH_BETA = -np.array([1.0 - 4.0 * _XI + 3.0 * _XI**2, -2.0 * _XI + 3.0 * _XI**2])
+_NEG_D2H_W = -_NODE_SIGNS * (6.0 - 12.0 * _XI)  # / length**2
+_NEG_D2H_BETA = -np.array([-4.0 + 6.0 * _XI, -2.0 + 6.0 * _XI])  # / length
+_U_SHAPES = np.array([1.0 - _XI, _XI])
+_TWO_PI_W = 2.0 * math.pi * _GAUSS_W[:, None]  # the ring's 2 pi r measure, less r
+
 
 # Fortran LAPACK with 64-bit integers: every argument by address, and a
 # hidden trailing length for each character argument.
@@ -219,18 +238,18 @@ class ShellMesh(Record):
             raise MeshError(
                 f"mesh needs at least 4 elements (5 nodes), got {r.size - 1} elements"
             )
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+        if not (np.isfinite(r).all() and np.isfinite(z).all()):
             raise MeshError("mesh coordinates must be finite")
-        scale = float(np.max(np.abs(r)) + np.max(np.abs(z)))
+        scale = float(abs(r).max() + abs(z).max())
         if abs(r[0]) > 1e-9 * scale:
             raise MeshError(f"first node must sit on the axis, r[0]={r[0]!r}")
-        if np.any(np.diff(r) <= 0.0):
+        dr = r[1:] - r[:-1]
+        if (dr <= 0.0).any():
             raise MeshError("node radii must increase strictly from apex to rim")
-        seg = np.hypot(np.diff(r), np.diff(z))
-        if np.any(seg <= 0.0):
+        seg = np.hypot(dr, z[1:] - z[:-1])
+        if (seg <= 0.0).any():
             raise MeshError("mesh contains a zero-length element")
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        object.__setattr__(self, "_s_um", s)
+        object.__setattr__(self, "_seg_um", seg)
         object.__setattr__(self, "_unit_parts", {})  # nu -> _unit_system
         if self.radius_um is not None and not self.radius_um > 0.0:
             raise MeshError(f"radius_um must be positive, got {self.radius_um!r}")
@@ -239,12 +258,12 @@ class ShellMesh(Record):
             object.__setattr__(self, "phi_rad", phi)
             if phi.shape != r.shape:
                 raise MeshError("phi_rad must match the node arrays")
-            if abs(phi[0]) > 1e-15 or np.any(np.diff(phi) <= 0.0):
+            if abs(phi[0]) > 1e-15 or (phi[1:] - phi[:-1] <= 0.0).any():
                 raise MeshError("phi_rad must start at 0 and increase strictly")
 
-    @property
+    @cached_property
     def s_um(self) -> np.ndarray:
-        return self._s_um
+        return np.concatenate([[0.0], np.cumsum(self._seg_um)])
 
     @property
     def n_nodes(self) -> int:
@@ -291,7 +310,9 @@ def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
         raise MeshError(f"n_elements must be at most {FEM_MAX_ELEMENTS}, got {n_elements!r}")
     a = geometry.radius_um
     alpha = geometry.base_angle_rad
-    phi = np.linspace(0.0, alpha, n + 1)
+    # np.linspace(0.0, alpha, n + 1)'s arithmetic, without its wrapper.
+    phi = np.arange(n + 1.0) * (alpha / n)
+    phi[-1] = alpha
     r = a * np.sin(phi)
     z = a * (np.cos(phi) - math.cos(alpha))
     return ShellMesh(r_um=r, z_um=z, phi_rad=phi, radius_um=a)
@@ -308,119 +329,168 @@ def _check_solve_args(thickness_um: float, pressure_pa: float, bc: str) -> None:
         raise InputDomainError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
 
-# Upper-triangle entries (row, column) of a 6x6 element matrix, column by
-# column, and their rows in the banded layout.
-_PAIRS = tuple(np.array(v) for v in zip(*[(i, j) for j in range(6) for i in range(j + 1)]))
-_BAND_ROWS = HALF_BANDWIDTH + _PAIRS[0] - _PAIRS[1]
-
-
 def _element_parts(meshes: Sequence[ShellMesh], nu) -> tuple[np.ndarray, np.ndarray]:
-    """Global-frame element stiffness parts and load, free of E, t and P.
+    """Banded stiffness parts and load of the meshes, free of E, t and P.
 
-    Returns the membrane and bending parts stacked as (2, 21, n_el), the
-    entries ``_PAIRS`` of each element's upper triangle per unit membrane
+    The meshes' nodes are laid end to end, each mesh's band columns right
+    after the previous mesh's.  Returns the membrane and bending parts as
+    one upper band, (2, HALF_BANDWIDTH + 1, n_dof), per unit membrane
     rigidity E t / (1 - nu^2) and unit bending rigidity
-    E t^3 / (12 (1 - nu^2)), and the element load of a unit pressure,
-    (6, n_el).  The elements are those of every mesh, one mesh after the
-    other, and no element joins one mesh's rim to the next mesh's apex.
-    ``nu`` is one Poisson ratio, or one per element.  Every sum is
+    E t^3 / (12 (1 - nu^2)), and the load of a unit pressure, (n_dof,).
+    ``nu`` is one Poisson ratio, or one per element, counting the element
+    that joins each mesh's rim to the next mesh's apex; that element is
+    given unit length and zero weights, so its entries are signed zeros,
+    which leave every band slot as it would be without them.  Every sum is
     elementwise in a fixed order, so the result does not depend on the BLAS
-    build, and the parts of a mesh are the same bits whether it is built
-    alone or with others, under one ratio or with a ratio per element.
+    build, and a mesh's columns are the same bits whether it is built alone
+    or with others, under one ratio or with a ratio per element.  A strain
+    row's entry that the shapes make zero is left out of its sum: it would
+    add a signed zero, which moves no bit of a nonzero entry, and an entry
+    that is zero lands in a band slot that stays +0.0.
 
     The parts are built one after the other into one b, each part's strain
-    rows only while b is filled, and each column of D b where it is used.
-    For one mesh of 256 elements no temporary then reaches 128 kB, the size
-    from which malloc may map fresh pages for a request and unmap them when
-    it is freed, and all of them together peak near 320 kB.  malloc also
-    returns the top of its heap to the system once more than 128 kB there is
-    free, after which the next build faults its peak back in, so a larger
-    peak costs a ``converge`` more page faults.  The temporaries grow with
-    the element count: one pass over the 480 elements of the 32-256 ladder
-    traces a peak of 750 kB, 566 kB of it temporaries, and the traced peak
-    of that ``converge`` went from 515 kB, with a pass per mesh, to 770 kB.
+    rows only while b is filled, and each column of D b where it is used;
+    each column's sums go into the band as they are made.  Every temporary
+    that grows with the element count is a view of one block, allocated
+    once per pass.  glibc's malloc maps a request of 128 kB or more afresh
+    until it frees a mapped block; from then on it serves requests up to
+    that block's size from its heap, and it returns the top of the heap to
+    the system only once more than twice that size is free there, after
+    which the next pass faults its pages back in.  The block is larger than
+    everything else a pass holds, the band included, so the heap top that a
+    pass leaves free stays under that bound, and repeated passes reuse the
+    same pages wherever the heap placed them.  The temporaries peak near
+    336 kB for one mesh of 256 elements, 274 kB of it the block, and near
+    640 kB for the 483 elements of the 32-256 ladder, 518 kB of it the
+    block.
     """
-    r1 = np.concatenate([mesh.r_um[:-1] for mesh in meshes])
-    dr = np.concatenate([np.diff(mesh.r_um) for mesh in meshes])
-    dz = np.concatenate([np.diff(mesh.z_um) for mesh in meshes])
+    if len(meshes) == 1:
+        r, z = meshes[0].r_um, meshes[0].z_um
+    else:
+        r = np.concatenate([mesh.r_um for mesh in meshes])
+        z = np.concatenate([mesh.z_um for mesh in meshes])
+    r1 = r[:-1]
+    dr = r[1:] - r1
+    dz = z[1:] - z[:-1]
+    if len(meshes) > 1:
+        joins = np.cumsum([mesh.n_nodes for mesh in meshes[:-1]]) - 1
+        dr[joins] = 1.0
+        dz[joins] = 0.0
     length = np.hypot(dr, dz)
     tr = dr / length
     tz = dz / length
     nr = -tz
     nz = tr
 
-    # Arrays below are Gauss point by element, (4, n_el), or broadcast to it.
-    xi = (0.5 * (_GAUSS_X + 1.0))[:, None]
-    ell = length[None, :]
-    r_g = r1 + (xi * ell) * tr
-    wgt = 2.0 * math.pi * _GAUSS_W[:, None] * (length / 2.0) * r_g
-    # Cubic Hermite shapes for w (w1, beta1, w2, beta2).
-    h = (
-        1.0 - 3.0 * xi**2 + 2.0 * xi**3,
-        ell * (xi - 2.0 * xi**2 + xi**3),
-        3.0 * xi**2 - 2.0 * xi**3,
-        ell * (-(xi**2) + xi**3),
+    # The block, per element: b, (strain row, global dof, gauss), refilled
+    # per part, whose dofs 0::3, 1::3 and 2::3 are the (Ur, Uz, beta) pairs
+    # of the two nodes; the two products q and p of a column, which also
+    # hold a strain row's factors while b is filled, its weighted D b and
+    # its sums; and the Gauss-point geometry.
+    n_el = r1.size
+    b, q, p, db, sums, r_g, wgt, n_over_r, t_over_r, h_beta = _views(
+        np.empty(134 * n_el),
+        ((2, 6, 4), (6, 4), (6, 4), (2, 4), (6,), (4,), (4,), (4,), (4,), (2, 4)),
+        n_el,
     )
+    band = np.zeros((2, HALF_BANDWIDTH + 1, 3 * r.size))
+
+    # Gauss point by element, (4, n_el), or a (node 1, node 2) pair of them.
+    np.add(r1, np.multiply(np.multiply(_XI, length, out=r_g), tr, out=r_g), out=r_g)
+    np.multiply(np.multiply(_TWO_PI_W, length / 2.0, out=wgt), r_g, out=wgt)
+    if len(meshes) > 1:
+        wgt[:, joins] = 0.0
+    np.multiply(length, _H_BETA, out=h_beta)
+    np.divide(nr, r_g, out=n_over_r)
+    np.divide(tr, r_g, out=t_over_r)
+
+    def rotate(row: int, u, w) -> None:
+        """Rotate the nodes' (u, w) columns of a strain row into b's
+        (Ur, Uz): u = Tr Ur + Tz Uz and w = Nr Ur + Nz Uz; a u of None is a
+        zero that the shapes make."""
+        for dof, along_t, along_n in ((0, tr, nr), (1, tz, nz)):
+            out = b[row, dof::3]
+            np.multiply(w, along_n, out=out)
+            if u is not None:
+                np.add(out, np.multiply(u, along_t, out=p[:2]), out=out)
+
+    def column(j: int, rows: int) -> None:
+        """Rows 0..rows-1 of column j of the part into ``sums``: weighted
+        D b, D = [[1, nu], [nu, 1]], against b's rows, summed over the Gauss
+        points in order."""
+        np.multiply(nu, b[::-1, j], out=db)
+        np.add(db, b[:, j], out=db)
+        np.multiply(db, wgt, out=db)
+        np.multiply(b[0, :rows], db[0], out=q[:rows])
+        np.multiply(b[1, :rows], db[1], out=p[:rows])
+        np.add(q[:rows], p[:rows], out=q[:rows])
+        np.add.reduce(q[:rows], axis=1, out=sums[:rows])
+
+    # Entry (i, j) of element e lands in band row HALF_BANDWIDTH + i - j and
+    # column 3 e + j, so the entries of one column of all elements are a
+    # strided block.  A slot gets at most two contributions, from the two
+    # elements at a node, and their sum does not depend on their order.
+    stop = 3 * n_el
+
+    def add(part: int, j: int) -> None:
+        """Add rows 0..j of ``sums`` as column j of every element."""
+        band[part, HALF_BANDWIDTH - j :, j : j + stop : 3] += sums[: j + 1]
+
+    # Each part's strain rows over the local nodal dofs (u, w, beta) of each
+    # node, then its columns.  Membrane (e_s, e_t), where e_s has only u:
     inv_l = 1.0 / length
-    n_over_r = nr / r_g
-    t_over_r = tr / r_g
+    b[0, 0::3] = _NODE_SIGNS * (inv_l * tr)
+    b[0, 1::3] = _NODE_SIGNS * (inv_l * tz)
+    b[0, 2::3] = 0.0
+    rotate(1, np.multiply(_U_SHAPES, t_over_r, out=q[:2]), np.multiply(_H_W, n_over_r, out=q[2:4]))
+    np.multiply(h_beta, n_over_r, out=b[1, 2::3])
+    for j in range(6):
+        column(j, j + 1)
+        add(0, j)
+    # Bending (k_s, k_t), from the shapes' arc-length derivatives:
+    rotate(0, None, np.divide(_NEG_D2H_W, length**2, out=q[:2]))
+    np.divide(_NEG_D2H_BETA, length, out=b[0, 2::3])
+    rotate(1, None, np.multiply(np.divide(_NEG_DH_W, length, out=q[:2]), t_over_r, out=q[:2]))
+    np.multiply(_NEG_DH_BETA, t_over_r, out=b[1, 2::3])
+    # The tables of w2 are those of w1 negated, so in both rows the (Ur, Uz)
+    # dofs 3 and 4 are dofs 0 and 1 negated, to the bit, and so are columns
+    # 3 and 4 of D b.  Rows 0-2 of columns 3 and 4 are then rows 0-2 of
+    # columns 0 and 1 negated, and rows 3 and 4 are entries of columns 0
+    # and 1: those columns need no products of their own.
+    for j in (0, 1):
+        column(j, 3)
+        add(1, j)
+        sums[3 : j + 4] = sums[: j + 1]
+        np.negative(sums[:3], out=sums[:3])
+        add(1, j + 3)
+    for j in (2, 5):
+        column(j, j + 1)
+        add(1, j)
 
-    # b is (strain row, global dof, gauss, element), refilled per part.
-    b = np.empty((2, 6, 4, r1.size))
+    # Consistent load of a unit pressure against the outward normal, (node,
+    # dof, element): (Ur, Uz) from the node's w shape, beta from its
+    # rotation shape.
+    f = np.empty((2, 3, n_el))
+    f_w = np.negative(np.add.reduce(np.multiply(_H_W, wgt, out=q[:2]), axis=1))
+    np.multiply(f_w, nr, out=f[:, 0])
+    np.multiply(f_w, nz, out=f[:, 1])
+    np.negative(np.add.reduce(np.multiply(h_beta, wgt, out=q[:2]), axis=1), out=f[:, 2])
+    f1 = np.zeros(3 * r.size)
+    nodes = f1.reshape(-1, 3)
+    nodes[:-1] += f[0].T
+    nodes[1:] += f[1].T
+    return band, f1
 
-    def fill_b(part: int) -> None:
-        """Build the part's strain rows over the local nodal dofs
-        (u1, w1, beta1, u2, w2, beta2) and rotate each node's (u, w) columns
-        into b's (Ur, Uz): u = Tr Ur + Tz Uz and w = Nr Ur + Nz Uz."""
-        if part == 0:  # membrane (e_s, e_t)
-            rows = (
-                (-inv_l, 0.0, 0.0, inv_l, 0.0, 0.0),
-                ((1.0 - xi) * t_over_r, h[0] * n_over_r, h[1] * n_over_r,
-                 xi * t_over_r, h[2] * n_over_r, h[3] * n_over_r),
-            )
-        else:  # bending (k_s, k_t), from the shapes' arc-length derivatives
-            dh = (
-                (-6.0 * xi + 6.0 * xi**2) / ell,
-                1.0 - 4.0 * xi + 3.0 * xi**2,
-                (6.0 * xi - 6.0 * xi**2) / ell,
-                -2.0 * xi + 3.0 * xi**2,
-            )
-            d2h = (
-                (-6.0 + 12.0 * xi) / ell**2,
-                (-4.0 + 6.0 * xi) / ell,
-                (6.0 - 12.0 * xi) / ell**2,
-                (-2.0 + 6.0 * xi) / ell,
-            )
-            rows = (
-                (0.0, -d2h[0], -d2h[1], 0.0, -d2h[2], -d2h[3]),
-                (0.0, -dh[0] * t_over_r, -dh[1] * t_over_r,
-                 0.0, -dh[2] * t_over_r, -dh[3] * t_over_r),
-            )
-        for row, cols in enumerate(rows):
-            for base in (0, 3):
-                u, w, beta = cols[base : base + 3]
-                b[row, base] = u * tr + w * nr
-                b[row, base + 1] = u * tz + w * nz
-                b[row, base + 2] = beta
 
-    k = np.empty((2, len(_PAIRS[0]), r1.size))
-    for part in range(2):
-        fill_b(part)
-        for j in range(6):
-            # Column j of weighted D b, D = [[1, nu], [nu, 1]], against rows
-            # 0..j of b, summed over the Gauss points in order.
-            db0 = (b[0, j] + nu * b[1, j]) * wgt
-            db1 = (nu * b[0, j] + b[1, j]) * wgt
-            q = b[0, : j + 1] * db0
-            q += b[1, : j + 1] * db1
-            first = j * (j + 1) // 2
-            k[part, first : first + j + 1] = q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3]
-            del db0, db1, q  # before the next column's, or the next part's rows
-
-    # Consistent load of a unit pressure against the outward normal.
-    fw = [-(hw[0] + hw[1] + hw[2] + hw[3]) for hw in (hk * wgt for hk in h)]
-    f = np.array([fw[0] * nr, fw[0] * nz, fw[1], fw[2] * nr, fw[2] * nz, fw[3]])
-    return k, f
+def _views(block: np.ndarray, shapes: Sequence[tuple[int, ...]], n: int) -> list[np.ndarray]:
+    """Consecutive views of a flat block, one per shape, each with a last
+    axis of length n."""
+    views, first = [], 0
+    for shape in shapes:
+        size = math.prod(shape) * n
+        views.append(block[first : first + size].reshape(*shape, n))
+        first += size
+    return views
 
 
 def _radius(mesh: ShellMesh) -> float:
@@ -434,41 +504,28 @@ def _build_unit_systems(pairs: Sequence[tuple[ShellMesh, float]]) -> None:
 
     A mesh may come in several pairs, one per ratio: its elements are then
     passed once per ratio, each with its own, and a ratio's parts are the
-    same bits as from a pass of their own.  The arrays are read-only: they
-    are shared by every solve on the mesh.  A mesh so large that its parts
-    overflow is rejected with MeshError.
+    same bits as from a pass of their own.  The pairs share one band, and a
+    pair's parts are read-only views of its columns, shared by every solve
+    on the mesh; so the memo of any one mesh keeps the whole band of its
+    pass alive.  A mesh so large that its parts overflow is rejected with
+    MeshError.
     """
     meshes, nus = zip(*pairs)
-    nu = nus[0] if len(set(nus)) == 1 else np.repeat(nus, [mesh.n_elements for mesh in meshes])
-    systems = []
+    n_nodes = [mesh.n_nodes for mesh in meshes]
+    nu = nus[0] if len(set(nus)) == 1 else np.repeat(nus, n_nodes)[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        k_el, f_el = _element_parts(meshes, nu)
-        first = 0
-        for mesh in meshes:
-            k = k_el[..., first : first + mesh.n_elements]
-            f = f_el[:, first : first + mesh.n_elements]
-            first += mesh.n_elements
-            band = np.zeros((2, HALF_BANDWIDTH + 1, mesh.n_dof))
-            f1 = np.zeros(mesh.n_dof)
-            # Entry (i, j) of element e lands in column 3 e + j, so one entry
-            # of all elements is a strided slice.  A slot gets at most two
-            # contributions, from the two elements at a node, and their sum
-            # does not depend on the order of the additions.
-            stop = 3 * mesh.n_elements
-            for m, (row, j) in enumerate(zip(_BAND_ROWS, _PAIRS[1])):
-                band[:, row, j : j + stop : 3] += k[:, m]
-            for i in range(6):
-                f1[i : i + stop : 3] += f[i]
-            systems.append((band, f1))
-    for (mesh, nu), (band, f1) in zip(pairs, systems):
-        if not (np.all(np.isfinite(band)) and np.all(np.isfinite(f1))):
-            raise MeshError(
-                f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
-            )
-        parts = (band[0], band[1], f1)
-        for a in parts:
-            a.flags.writeable = False
-        mesh._unit_parts[nu] = parts
+        band, f1 = _element_parts(meshes, nu)
+    first = np.cumsum([0] + n_nodes).tolist()
+    columns = [slice(3 * a, 3 * b) for a, b in zip(first, first[1:])]
+    if not (np.isfinite(band).all() and np.isfinite(f1).all()):
+        for mesh, cols in zip(meshes, columns):
+            if not (np.isfinite(band[..., cols]).all() and np.isfinite(f1[cols]).all()):
+                raise MeshError(
+                    f"stiffness of the mesh overflows: radius {_radius(mesh):g} um is out of range"
+                )
+    band.flags.writeable = f1.flags.writeable = False
+    for (mesh, nu), cols in zip(pairs, columns):
+        mesh._unit_parts[nu] = (band[0, :, cols], band[1, :, cols], f1[cols])
 
 
 def _unit_system(mesh: ShellMesh, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -505,7 +562,8 @@ def assemble_system(
         raise InputDomainError(f"bending rigidity overflows at thickness {t!r} um") from None
     p = float(pressure_pa)
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = c_m * k_m + d_b * k_b
+        ab = c_m * k_m
+        ab += d_b * k_b
         f = p * f1
     if not np.isfinite(ab).all():
         raise InputDomainError(
@@ -542,12 +600,13 @@ def _band_row(ab: np.ndarray, i: int) -> list[tuple[float, int]]:
     """
     hb = ab.shape[0] - 1
     n = ab.shape[1]
-    terms = [(float(ab[hb, i]), i)]
+    column = ab[:, i].tolist()  # column[hb - off] = K[i - off, i]
+    terms = [(column[hb], i)]
     for off in range(1, hb + 1):
         if i + off < n:
             terms.append((float(ab[hb - off, i + off]), i + off))
         if i >= off:
-            terms.append((float(ab[hb - off, i]), i - off))
+            terms.append((column[hb - off], i - off))
     return terms
 
 
@@ -642,7 +701,7 @@ def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> float:
     """Zero rows/columns of the fixed dofs in place; returns the diagonal scale."""
     # The sum over the column count is np.mean's arithmetic, without its
     # per-call overhead.
-    scale = float(np.abs(ab[-1]).sum()) / ab.shape[1]
+    scale = float(abs(ab[-1]).sum()) / ab.shape[1]
     if scale == 0.0:
         scale = 1.0
     zero, diagonal, dofs = _constraint_index(ab.shape, fixed)
@@ -757,7 +816,7 @@ def solve_case(
     _apply_bc(ab, f, fixed_dofs(mesh.n_nodes, bc))
     factor = cholesky_banded(ab)
     d = cho_solve_banded(factor, f, overwrite_b=True)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise SolverError("solver produced non-finite displacements")
     rim_vertical_n = (_row_dot(rim_row, d) - rim_load) * _N_TO_PA_UM2
     # Axial resultant of uniform normal pressure is P times the projected

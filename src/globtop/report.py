@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager, suppress
 from functools import partial
@@ -423,10 +424,18 @@ def _write_artifacts(out: Path, files: dict[str, str]) -> None:
             out.mkdir(parents=True)
         except FileExistsError:
             stale.unlink(missing_ok=True)
-            for pattern in _ARTIFACT_PATTERNS:
-                for path in out.glob(pattern):
-                    if path.name not in files and path.is_file():
-                        path.unlink()
+            from fnmatch import fnmatchcase
+
+            with os.scandir(out) as entries:
+                stale_artifacts = [
+                    entry.path
+                    for entry in entries
+                    if entry.name not in files
+                    and any(fnmatchcase(entry.name, pattern) for pattern in _ARTIFACT_PATTERNS)
+                    and entry.is_file()
+                ]
+            for path in stale_artifacts:
+                os.unlink(path)
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8")
     except Exception as exc:

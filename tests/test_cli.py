@@ -411,6 +411,9 @@ class TestGeometry:
             # The cross-key checks of each form.
             (["geometry", "--b-um", "1", "--h-um", "5"], "--h-um=5.0 exceeds --b-um=1.0"),
             (["geometry", "--radius-um", "100", "--angle-deg", "95"], "--angle-deg must lie in (0, 90], got 95.0"),
+            # A ladder writes no nodal CSV.
+            ([*_FEM_CASE, "--converge", "--out", "conv.csv"],
+             "--out writes one solve's nodal CSV; --converge writes none"),
         ],
     )
     def test_form_errors_name_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):

@@ -382,12 +382,15 @@ class TestStiffnessParts:
 
     def test_assembly_does_not_depend_on_the_blas_kernel(self):
         # The factor and the solve do depend on the kernel, but under each
-        # kernel numpy's LAPACK and scipy's extension agree to the bit.
+        # kernel numpy's LAPACK and scipy's extension agree to the bit, and
+        # every level of a ladder, whose parts come from one pass over all
+        # its meshes, is the solve of a lone mesh.
         script = (
             "import hashlib, numpy as np, globtop as gt\n"
             "from globtop import fem\n"
             "from scipy.linalg import get_lapack_funcs\n"
-            "mesh = fem.mesh_cap(gt.REFERENCE_GEOMETRY, 256)\n"
+            "cap = gt.REFERENCE_GEOMETRY\n"
+            "mesh = fem.mesh_cap(cap, 256)\n"
             "cer = gt.default_library().get('Carbon epoxy resin')\n"
             "ab, f = fem.assemble_system(mesh, 150.0, cer, gt.atm_to_pa(100.0))\n"
             "print(hashlib.sha256(ab.tobytes() + f.tobytes()).hexdigest())\n"
@@ -398,12 +401,16 @@ class TestStiffnessParts:
             "    sol = fem.solve_case(mesh, 150.0, cer, gt.atm_to_pa(100.0), bc)\n"
             "    factor, _ = pbtrf(ab)\n"
             "    x, _ = pbtrs(factor, f)\n"
+            "    ladder = fem.converge(cap, 150.0, cer, gt.atm_to_pa(100.0), bc)\n"
+            "    lone = [fem.solve_case(fem.mesh_cap(cap, n), 150.0, cer,\n"
+            "                           gt.atm_to_pa(100.0), bc).apex_deflection_um\n"
+            "            for n in ladder.levels]\n"
             "    print(pbtrf is not fem._PBTRF, np.array_equal(factor, sol.factor),\n"
-            "          np.array_equal(x[1::3], sol.u_z_um))\n"
+            "          np.array_equal(x[1::3], sol.u_z_um), list(ladder.apex_um) == lone)\n"
         )
         src = str(Path(gt.__file__).resolve().parents[1])
         procs = []
-        for kernel in (None, "Haswell", "Prescott"):
+        for kernel in (None, "Haswell", "Prescott", "Sandybridge", "Nehalem"):
             env = dict(os.environ, PYTHONPATH=src)
             env.pop("OPENBLAS_CORETYPE", None)
             if kernel is not None:
@@ -417,42 +424,51 @@ class TestStiffnessParts:
         assert all(proc.returncode == 0 for proc in procs)
         digests = [lines[0] for lines in outputs]
         assert len(digests[0]) == 64
-        assert digests == [digests[0]] * 3
+        assert digests == [digests[0]] * 5
         for lines in outputs:
-            assert lines[1:] == ["True True True"] * 2
+            assert lines[1:] == ["True True True True"] * 2
 
     def test_building_the_parts_keeps_its_temporaries_small(self, reference_cap):
         # Large temporaries may be mapped and page-faulted afresh on every
         # build, as the heap's history allows, which makes repeated studies
         # run at different speeds, and malloc trims a heap whose free top
-        # grows past 128 kB, so the peak is faulted back in by the next
-        # build.  Building both parts at once needs 880 kB of temporaries on
-        # this mesh; one part at a time, 490 kB; one part at a time into one
-        # b, with each part's strain rows and each column's products freed
-        # before the next are built, 320 kB.
+        # grows past twice its largest freed mapping, so the peak is faulted
+        # back in by the next build.  Building both parts at once needs
+        # 880 kB of temporaries on this mesh; one part at a time, 490 kB; one
+        # part at a time into one b, with each part's strain rows and each
+        # column's products freed before the next are built, 320 kB; the
+        # same steps in one block of 274 kB, adding each column to the band
+        # as it is made, 336 kB.
         mesh = fem.mesh_cap(reference_cap, 256)
         fem._element_parts((mesh,), 0.4)
         tracemalloc.start()
         try:
-            k, f = fem._element_parts((mesh,), 0.4)
+            band, f1 = fem._element_parts((mesh,), 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - k.nbytes - f.nbytes < 350_000
+        assert peak - band.nbytes - f1.nbytes < 350_000
 
 
     @settings(max_examples=25, deadline=None)
     @given(
         nus=st.lists(st.floats(0.30, 0.45), min_size=2, max_size=3, unique=True),
         n=st.integers(4, 256),
+        sizes=st.lists(st.integers(4, 64), min_size=1, max_size=3),
+        data=st.data(),
     )
-    def test_a_pass_over_several_ratios_equals_lone_builds_byte_for_byte(self, nus, n):
+    def test_a_pass_over_several_ratios_equals_lone_builds_byte_for_byte(self, nus, n, sizes, data):
         # A study builds its mesh's parts for every ratio of its library in
-        # one pass, with a ratio per element; a fresh solve of one ratio, as
-        # the benchmark's checks make, builds them alone.
+        # one pass, with a ratio per element, and a ladder builds meshes of
+        # several sizes in one pass; a fresh solve of one ratio, as the
+        # benchmark's checks make, builds them alone.  The pairs of a pass
+        # share one band, so passes that mix sizes and ratios in any order
+        # cover each kind of join between two meshes' columns.
         geometry = gt.REFERENCE_GEOMETRY
-        pairs = [(fem.mesh_cap(geometry, n), nu) for nu in nus[:1]]
-        pairs += [(pairs[0][0], nu) for nu in nus[1:]] + [(fem.mesh_cap(geometry, 32), nus[0])]
+        mesh = fem.mesh_cap(geometry, n)
+        pairs = [(mesh, nu) for nu in nus]
+        pairs += [(fem.mesh_cap(geometry, m), data.draw(st.sampled_from(nus))) for m in sizes]
+        pairs = data.draw(st.permutations(pairs), label="pairs")
         fem._build_unit_systems(pairs)
         for mesh, nu in pairs:
             lone = fem._unit_system(fem.mesh_cap(geometry, mesh.n_elements), nu)
@@ -785,6 +801,17 @@ class TestConvergenceLadder:
             lone = fem._unit_system(mesh_cap(geometry, mesh.n_elements), nu)
             ladder = mesh._unit_parts[nu]
             assert [a.tobytes() for a in ladder] == [a.tobytes() for a in lone]
+
+    @pytest.mark.parametrize("bc", fem.BOUNDARY_CONDITIONS)
+    def test_every_level_equals_a_lone_solve_bit_for_bit(self, reference_cap, cer, bc):
+        # The benchmark's checks compare only the finest level.
+        p = gt.atm_to_pa(100.0)
+        report = gt.converge(reference_cap, 150.0, cer, p, bc)
+        lone = [
+            fem.solve_case(fem.mesh_cap(reference_cap, n), 150.0, cer, p, bc).apex_deflection_um
+            for n in report.levels
+        ]
+        assert list(report.apex_um) == lone
 
     def test_builds_the_ladders_parts_in_one_element_pass(self, reference_cap, cer, monkeypatch):
         passes = []

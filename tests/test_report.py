@@ -4,6 +4,7 @@ import fnmatch
 import io
 import itertools
 import json
+import os
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -588,14 +589,15 @@ class TestRunStudy:
         }
 
     def test_a_new_directory_is_written_without_the_clean_up_scan(self, tmp_path, monkeypatch):
-        # A directory the write makes holds no earlier study to clean up.
+        # A directory the write makes holds no earlier study to clean up; a
+        # rerun reads the directory once.
         scans = []
-        glob = Path.glob
-        monkeypatch.setattr(Path, "glob", lambda self, pattern: scans.append(pattern) or glob(self, pattern))
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: scans.append(path) or scandir(path))
         run_study(parse_config({"profile_points": 5}), tmp_path / "new" / "study")
         assert scans == []
         run_study(parse_config({"profile_points": 5}), tmp_path / "new" / "study")
-        assert len(scans) == 12
+        assert scans == [tmp_path / "new" / "study"]
 
     def test_successful_rerun_clears_stale_marker(self, tmp_path):
         out = tmp_path / "recover"

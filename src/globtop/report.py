@@ -424,7 +424,7 @@ def _write_artifacts(out: Path, files: dict[str, str]) -> None:
             out.mkdir(parents=True)
         except FileExistsError:
             stale.unlink(missing_ok=True)
-            from fnmatch import fnmatchcase
+            from fnmatch import fnmatchcase  # only a rerun scans its directory
 
             with os.scandir(out) as entries:
                 stale_artifacts = [

@@ -118,6 +118,18 @@ class TestMeshCap:
         assert mesh.z_um[-1] == pytest.approx(0.0, abs=1e-9 * a)
         assert mesh.z_um[0] == pytest.approx(reference_cap.rise_um, rel=1e-9)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        b=st.floats(100.0, 5000.0),
+        h=st.floats(10.0, 2000.0),
+        n=st.integers(4, fem.FEM_MAX_ELEMENTS),
+    )
+    def test_angles_are_linspace_bit_for_bit(self, b, h, n):
+        geometry = gt.solve_cap(b, min(h, b))
+        mesh = fem.mesh_cap(geometry, n)
+        expected = np.linspace(0.0, geometry.base_angle_rad, n + 1)
+        assert mesh.phi_rad.tobytes() == expected.tobytes()
+
     def test_arc_length_accumulates(self, coarse_mesh, reference_cap):
         s = coarse_mesh.s_um
         assert s[0] == 0.0
@@ -128,7 +140,7 @@ class TestMeshCap:
 
     def test_too_many_elements(self, reference_cap, monkeypatch):
         # Rejected before numpy builds a node array.
-        monkeypatch.setattr(fem.np, "linspace", None)
+        monkeypatch.setattr(fem.np, "arange", None)
         with pytest.raises(MeshError, match="at most 512"):
             fem.mesh_cap(reference_cap, fem.FEM_MAX_ELEMENTS + 1)
 

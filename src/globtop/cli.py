@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, GlobtopError, InputDomainError, MeshError, StageError, number, resolve
@@ -202,6 +201,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    from pathlib import Path
+
     from .report import parse_config_file, run_study
 
     config = parse_config_file(args.config)
@@ -326,15 +327,12 @@ _HANDLERS = {
 }
 
 
-def _exit_code(exc: GlobtopError) -> int:
+def _exit_code(exc: Exception) -> int:
     if isinstance(exc, StageError):
-        inner = exc.original
-        if isinstance(inner, GlobtopError):
-            return _exit_code(inner)
-        # An artifact that cannot be written, or a missing LAPACK, is an
-        # input or install problem, as it is outside a stage.
-        return 1 if isinstance(inner, (OSError, ImportError)) else 2
-    if isinstance(exc, (ConfigError, InputDomainError, MeshError)):
+        return _exit_code(exc.original)
+    # A path that cannot be read or written, or a missing LAPACK, is an input
+    # or install problem, in a stage or outside one.
+    if isinstance(exc, (ConfigError, InputDomainError, MeshError, OSError, ImportError)):
         return 1
     return 2
 
@@ -351,13 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except GlobtopError as exc:
+    except (GlobtopError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    # An output path that cannot be written, or fem without a LAPACK.
-    except (OSError, ImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 Everything raised deliberately by this package derives from GlobtopError, so
 callers can catch one type at the CLI boundary.  Validation problems are also
 ValueErrors, numerical failures are not.  ``real`` is the one check that a
-value is a number, shared by the input schema and the domain constructors.
-The schema, ``resolve`` and its row validators, reads study configs, their
-geometry blocks and material libraries alike.  ``Record`` is the base of the
-package's immutable value classes, and its ``as_dict`` their JSON form.
+value is a number, shared by the input schema and the domain constructors;
+``finite_positive`` and ``finite_non_negative`` are the domain's range
+checks on it.  The schema, ``resolve`` and its row validators, reads study
+configs, their geometry blocks and material libraries alike.  ``Record`` is
+the base of the package's immutable value classes, and its ``as_dict`` their
+JSON form.
 ``read_text``, ``write_text`` and ``csv_text`` are the package's one way to
 read an input file, to write an artifact to a path or a stream, and to turn
 rows into CSV with each field quoted where it needs it.  They all live here
@@ -70,7 +72,7 @@ def real(name: str, value, *, finite: bool = True, error: type = InputDomainErro
     ``finite=False`` lets inf and NaN through to a caller that checks them.
     """
     try:
-        if isinstance(value, Real) and not isinstance(value, bool):
+        if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
             number = float(value)
             if not finite or math.isfinite(number):
                 return number
@@ -78,6 +80,22 @@ def real(name: str, value, *, finite: bool = True, error: type = InputDomainErro
         pass
     kind = "finite number" if finite else "number"
     raise error(f"{name} must be a {kind}, got {value!r}")
+
+
+def finite_positive(name: str, value) -> float:
+    """``value`` as a float if it is a finite number above 0, else raise InputDomainError."""
+    value = real(name, value)
+    if value <= 0.0:
+        raise InputDomainError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def finite_non_negative(name: str, value) -> float:
+    """``value`` as a float if it is a finite number not below 0, else raise InputDomainError."""
+    value = real(name, value)
+    if value < 0.0:
+        raise InputDomainError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
 
 
 def read_text(path, what: str) -> str:
@@ -165,10 +183,10 @@ def number(path: str, raw, finite: bool = True, positive: bool = False) -> float
     return value
 
 
-def integer(minimum: int, path: str, raw, maximum: int | None = None) -> int:
+def integer(minimum: int, path: str, raw, maximum: int) -> int:
     if not number(path, raw).is_integer() or raw < minimum:
         raise ConfigError(f"{path} must be an integer of at least {minimum}, got {raw!r}")
-    if maximum is not None and raw > maximum:
+    if raw > maximum:
         raise ConfigError(f"{path} must be an integer of at most {maximum}, got {raw!r}")
     return int(raw)
 

@@ -45,22 +45,22 @@ system.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import math
 import sys
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputDomainError, MeshError, Record, SolverError, write_text
+from .errors import (
+    InputDomainError, MeshError, Record, SolverError, finite_non_negative, finite_positive, write_text,
+)
 from .geometry import CapGeometry
 from .materials import Material
 from .screening import BOUNDARY_CONDITIONS, FEM_MAX_ELEMENTS
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from pathlib import Path
     from typing import IO, Sequence
 
 HALF_BANDWIDTH = 5
@@ -164,7 +164,7 @@ def _numpy_lapack():
 
 
 def _load_flapack():
-    """scipy's f2py LAPACK extension, loaded from its file.
+    """dpbtrf and dpbtrs from scipy's f2py LAPACK extension, loaded from its file.
 
     The second source of dpbtrf and dpbtrs, for a numpy whose LAPACK does
     not export them.  ``import scipy.linalg`` runs the package ``__init__``,
@@ -173,10 +173,14 @@ def _load_flapack():
     registered under its own name, so a later ``import scipy.linalg`` in the
     process reuses it.
     """
+    import importlib.machinery
+    import importlib.util
+    from pathlib import Path
+
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is not None:
-        return module
+        return module.dpbtrf, module.dpbtrs
     scipy = importlib.util.find_spec("scipy")
     for root in scipy.submodule_search_locations if scipy is not None else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -186,7 +190,7 @@ def _load_flapack():
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
                 sys.modules[name] = module
-                return module
+                return module.dpbtrf, module.dpbtrs
     raise ImportError(
         "globtop.fem needs LAPACK's dpbtrf and dpbtrs: numpy's LAPACK does not export"
         " them, and scipy, whose LAPACK extension scipy/linalg/_flapack would provide"
@@ -195,16 +199,8 @@ def _load_flapack():
     )
 
 
-def _load_lapack():
-    """The banded Cholesky routines, from numpy's LAPACK, else from scipy's."""
-    routines = _numpy_lapack()
-    if routines is not None:
-        return routines
-    flapack = _load_flapack()
-    return flapack.dpbtrf, flapack.dpbtrs
-
-
-_PBTRF, _PBTRS = _load_lapack()
+# The banded Cholesky routines, from numpy's LAPACK, else from scipy's.
+_PBTRF, _PBTRS = _numpy_lapack() or _load_flapack()
 
 
 class ShellMesh(Record):
@@ -246,10 +242,6 @@ class ShellMesh(Record):
         dr = r[1:] - r[:-1]
         if (dr <= 0.0).any():
             raise MeshError("node radii must increase strictly from apex to rim")
-        seg = np.hypot(dr, z[1:] - z[:-1])
-        if (seg <= 0.0).any():
-            raise MeshError("mesh contains a zero-length element")
-        object.__setattr__(self, "_seg_um", seg)
         object.__setattr__(self, "_unit_parts", {})  # nu -> _unit_system
         if self.radius_um is not None and not self.radius_um > 0.0:
             raise MeshError(f"radius_um must be positive, got {self.radius_um!r}")
@@ -263,7 +255,7 @@ class ShellMesh(Record):
 
     @cached_property
     def s_um(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self._seg_um)])
+        return np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(self.r_um), np.diff(self.z_um)))])
 
     @property
     def n_nodes(self) -> int:
@@ -319,12 +311,8 @@ def mesh_cap(geometry: CapGeometry, n_elements: int) -> ShellMesh:
 
 
 def _check_solve_args(thickness_um: float, pressure_pa: float, bc: str) -> None:
-    t = float(thickness_um)
-    if not math.isfinite(t) or t <= 0.0:
-        raise InputDomainError(f"thickness_um must be finite and positive, got {t!r}")
-    p = float(pressure_pa)
-    if not math.isfinite(p) or p < 0.0:
-        raise InputDomainError(f"pressure_pa must be finite and non-negative, got {p!r}")
+    finite_positive("thickness_um", thickness_um)
+    finite_non_negative("pressure_pa", pressure_pa)
     if bc not in BOUNDARY_CONDITIONS:
         raise InputDomainError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
@@ -364,18 +352,14 @@ def _element_parts(meshes: Sequence[ShellMesh], nu) -> tuple[np.ndarray, np.ndar
     640 kB for the 483 elements of the 32-256 ladder, 518 kB of it the
     block.
     """
-    if len(meshes) == 1:
-        r, z = meshes[0].r_um, meshes[0].z_um
-    else:
-        r = np.concatenate([mesh.r_um for mesh in meshes])
-        z = np.concatenate([mesh.z_um for mesh in meshes])
+    r = np.concatenate([mesh.r_um for mesh in meshes])
+    z = np.concatenate([mesh.z_um for mesh in meshes])
     r1 = r[:-1]
     dr = r[1:] - r1
     dz = z[1:] - z[:-1]
-    if len(meshes) > 1:
-        joins = np.cumsum([mesh.n_nodes for mesh in meshes[:-1]]) - 1
-        dr[joins] = 1.0
-        dz[joins] = 0.0
+    joins = np.cumsum([mesh.n_nodes for mesh in meshes[:-1]], dtype=int) - 1
+    dr[joins] = 1.0
+    dz[joins] = 0.0
     length = np.hypot(dr, dz)
     tr = dr / length
     tz = dz / length
@@ -398,8 +382,7 @@ def _element_parts(meshes: Sequence[ShellMesh], nu) -> tuple[np.ndarray, np.ndar
     # Gauss point by element, (4, n_el), or a (node 1, node 2) pair of them.
     np.add(r1, np.multiply(np.multiply(_XI, length, out=r_g), tr, out=r_g), out=r_g)
     np.multiply(np.multiply(_TWO_PI_W, length / 2.0, out=wgt), r_g, out=wgt)
-    if len(meshes) > 1:
-        wgt[:, joins] = 0.0
+    wgt[:, joins] = 0.0
     np.multiply(length, _H_BETA, out=h_beta)
     np.divide(nr, r_g, out=n_over_r)
     np.divide(tr, r_g, out=t_over_r)
@@ -545,7 +528,8 @@ def assemble_system(
     for i <= j.  K = c_m K_m + d_b K_b and f = P f_1, with the parts built
     once per mesh and Poisson ratio.  A shell thicker than the sphere radius
     of a cap mesh is rejected.  The parts are finite, so a stiffness or load
-    that overflows means the inputs are out of range: InputDomainError.
+    that overflows means the inputs are out of range: InputDomainError, as
+    does a rigidity or a nonzero pressure below the normal floats.
     """
     t = float(thickness_um)
     if mesh.radius_um is not None and t > mesh.radius_um:
@@ -560,7 +544,14 @@ def assemble_system(
         d_b = e_mod * t**3 / (12.0 * (1.0 - nu * nu))
     except OverflowError:
         raise InputDomainError(f"bending rigidity overflows at thickness {t!r} um") from None
+    if min(c_m, d_b) < sys.float_info.min:
+        raise InputDomainError(
+            f"rigidity underflows at thickness {t:g} um and modulus {e_mod:g} Pa:"
+            " the inputs are out of range"
+        )
     p = float(pressure_pa)
+    if 0.0 < p < sys.float_info.min:
+        raise InputDomainError(f"load underflows at pressure {p:g} Pa: the inputs are out of range")
     with np.errstate(over="ignore", invalid="ignore"):
         ab = c_m * k_m
         ab += d_b * k_b
@@ -697,8 +688,8 @@ def _constraint_index(
     return index
 
 
-def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> float:
-    """Zero rows/columns of the fixed dofs in place; returns the diagonal scale."""
+def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> None:
+    """Zero rows/columns of the fixed dofs in place, with the diagonal scale on their diagonal."""
     # The sum over the column count is np.mean's arithmetic, without its
     # per-call overhead.
     scale = float(abs(ab[-1]).sum()) / ab.shape[1]
@@ -708,7 +699,6 @@ def _apply_bc(ab: np.ndarray, f: np.ndarray, fixed: tuple[int, ...]) -> float:
     ab.put(zero, 0.0)
     ab.put(diagonal, scale)
     f[dofs] = 0.0
-    return scale
 
 
 class FemSolution(Record):
@@ -804,7 +794,8 @@ def solve_case(
     """Solve one static load case on a given mesh.
 
     Raises SolverError if the constrained system is not positive definite
-    (which signals a modelling defect, not a load regime).
+    (which signals a modelling defect, not a load regime), and
+    InputDomainError where the inputs are out of range.
     """
     _check_solve_args(thickness_um, pressure_pa, bc)
     ab, f = assemble_system(mesh, thickness_um, material, pressure_pa)
@@ -816,8 +807,10 @@ def solve_case(
     _apply_bc(ab, f, fixed_dofs(mesh.n_nodes, bc))
     factor = cholesky_banded(ab)
     d = cho_solve_banded(factor, f, overwrite_b=True)
-    if not np.isfinite(d).all():
-        raise SolverError("solver produced non-finite displacements")
+    if not np.isfinite(d).all():  # with a factor, only an overflow does this
+        raise InputDomainError(
+            f"displacements overflow at pressure {float(pressure_pa):g} Pa: the inputs are out of range"
+        )
     rim_vertical_n = (_row_dot(rim_row, d) - rim_load) * _N_TO_PA_UM2
     # Axial resultant of uniform normal pressure is P times the projected
     # area pi b^2 regardless of the meridian shape; the rim support carries
@@ -896,25 +889,6 @@ class ConvergenceReport(Record):
     @property
     def observed_order(self) -> float | None:
         return self.observed_orders[-1] if self.observed_orders else None
-
-    @property
-    def final_relative_change(self) -> float:
-        if not self.diffs_um or self.apex_um[-1] == 0.0:
-            return 0.0
-        return abs(self.diffs_um[-1]) / abs(self.apex_um[-1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bc": self.bc,
-            "levels": list(self.levels),
-            "apex_um": list(self.apex_um),
-            "diffs_um": list(self.diffs_um),
-            "observed_orders": list(self.observed_orders),
-            "observed_order": self.observed_order,
-            "extrapolated_um": self.extrapolated_um,
-            "final_relative_change": self.final_relative_change,
-            "contraction": self.contraction,
-        }
 
 
 def converge(

@@ -16,7 +16,7 @@ import math
 import warnings
 from collections.abc import Mapping
 
-from .errors import ConfigError, InputDomainError, Record, number, real, resolve
+from .errors import ConfigError, InputDomainError, Record, finite_positive, number, real, resolve
 
 
 class ThinShellWarning(UserWarning):
@@ -25,13 +25,6 @@ class ThinShellWarning(UserWarning):
 
 THINNESS_LIMIT = 0.1
 """Thickness-to-radius ratio above which ThinShellWarning is issued."""
-
-
-def _require_finite_positive(name: str, value: float) -> float:
-    value = real(name, value)
-    if value <= 0.0:
-        raise InputDomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
 
 
 class CapGeometry(Record):
@@ -48,9 +41,9 @@ class CapGeometry(Record):
     base_angle_rad: float
 
     def __post_init__(self) -> None:
-        b = _require_finite_positive("base_half_width_um", self.base_half_width_um)
-        h = _require_finite_positive("rise_um", self.rise_um)
-        a = _require_finite_positive("radius_um", self.radius_um)
+        b = finite_positive("base_half_width_um", self.base_half_width_um)
+        h = finite_positive("rise_um", self.rise_um)
+        a = finite_positive("radius_um", self.radius_um)
         alpha = float(self.base_angle_rad)
         if not math.isfinite(alpha) or not 0.0 < alpha <= math.pi / 2 + 1e-12:
             raise InputDomainError(
@@ -103,8 +96,8 @@ def solve_cap(
         InputDomainError: on non-positive, non-finite, or h > b inputs.
     """
     b_name, h_name = _spelled(names, "base_half_width_um", "rise_um")
-    b = _require_finite_positive(b_name, base_half_width_um)
-    h = _require_finite_positive(h_name, rise_um)
+    b = finite_positive(b_name, base_half_width_um)
+    h = finite_positive(h_name, rise_um)
     if h > b:
         raise InputDomainError(
             f"{h_name}={h} exceeds {b_name}={b}; "
@@ -129,7 +122,7 @@ def from_radius_angle(
     ``names`` spells the keys in the messages, as ``cap_from_config`` takes it.
     """
     a_name, alpha_name = _spelled(names, "radius_um", "base_angle_deg")
-    a = _require_finite_positive(a_name, radius_um)
+    a = finite_positive(a_name, radius_um)
     alpha = math.radians(real(alpha_name, base_angle_deg))
     if not 0.0 < alpha <= math.pi / 2:
         raise InputDomainError(
@@ -194,7 +187,7 @@ def thinness_ratio(geometry: CapGeometry, thickness_um: float) -> float:
     roughly t/a = 0.1 their error grows and results should be treated as
     indicative only, so this is a warning rather than an error.
     """
-    t = _require_finite_positive("thickness_um", thickness_um)
+    t = finite_positive("thickness_um", thickness_um)
     ratio = t / geometry.radius_um
     if ratio > THINNESS_LIMIT:
         warnings.warn(

@@ -13,8 +13,8 @@ property.
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
 from collections.abc import Iterator
 
 from .errors import REQUIRED, ConfigError, InputDomainError, Record, read_text, real, resolve, unchecked
@@ -133,7 +133,7 @@ def load_library(text: str, path: str = "") -> MaterialLibrary:
     return library_block(path, doc)
 
 
-def load_library_file(path: str | Path) -> MaterialLibrary:
+def load_library_file(path: str | os.PathLike) -> MaterialLibrary:
     """Load a material library from a JSON file."""
     return load_library(read_text(path, "material library"), str(path))
 
@@ -146,4 +146,5 @@ def serialize_library(library: MaterialLibrary) -> str:
 
 def default_library() -> MaterialLibrary:
     """The three bundled candidate encapsulants, softest first."""
-    return load_library((Path(__file__).parent / "data" / "materials.json").read_text("utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "data", "materials.json")
+    return load_library(read_text(path, "material library"))

@@ -373,7 +373,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
         )
 
     with _stage("profiles"):
-        from .svgplot import Series, line_plot
+        from .svgplot import line_plot
 
         limit = config.criteria.deflection_limit_um
         for mat in config.library:
@@ -383,7 +383,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
             slug = _slug(mat.name)
             files[f"profile_{slug}.csv"] = prof.to_csv_text()
             files[f"profile_{slug}.svg"] = line_plot(
-                [Series(label=mat.name, x=prof.thickness_um, y=prof.deflection_um)],
+                prof.thickness_um, prof.deflection_um, mat.name,
                 title=f"Apex deflection vs thickness, {mat.name}, {prof.pressure_atm:g} atm",
                 x_label="thickness (um)",
                 y_label="apex deflection (um)",

@@ -26,10 +26,13 @@ import math
 import sys
 from functools import partial
 
-from .errors import ConfigError, InputDomainError, Record, SolverError, choice, integer, number, numbers, real
+from .errors import (
+    ConfigError, InputDomainError, Record, SolverError, choice, finite_non_negative, finite_positive, integer,
+    number, numbers, real,
+)
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
-from .shell_model import MAX_PROFILE_POINTS, PROFILE_POINTS_ROW, ShellCase, apex_coefficient, apex_deflection
+from .shell_model import PROFILE_POINTS_ROW, ShellCase, apex_coefficient, apex_deflection, sample_count
 from .units import ATM_PA, atm_to_pa
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -74,10 +77,7 @@ class ScreeningCriteria(Record):
             )
         object.__setattr__(self, "deflection_limit_um", limit)
         for name in ("max_pressure_atm", "max_thickness_um"):
-            v = real(name, getattr(self, name))
-            if v <= 0.0:
-                raise InputDomainError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
         for name in ("thickness_range_um", "pressure_range_atm"):
             lo, hi = (real(name, v) for v in getattr(self, name))
             if not 0.0 < lo < hi:
@@ -108,11 +108,10 @@ def min_thickness(
     """Closed-form minimum thickness, um, holding the apex at the limit.
 
     Zero pressure needs no encapsulant stiffness at all, so 0.0 is returned;
-    an infinite limit likewise.
+    an infinite limit likewise.  A thickness that is not finite means the
+    inputs are out of range.
     """
-    p = float(pressure_pa)
-    if not math.isfinite(p) or p < 0.0:
-        raise InputDomainError(f"pressure_pa must be finite and non-negative, got {p!r}")
+    p = finite_non_negative("pressure_pa", pressure_pa)
     limit = float(deflection_limit_um)
     if math.isnan(limit) or limit <= 0.0:
         raise InputDomainError(f"deflection_limit_um must be positive, got {limit!r}")
@@ -120,7 +119,14 @@ def min_thickness(
         return 0.0
     a = geometry.radius_um
     k = apex_coefficient(material.poisson_ratio, geometry.base_angle_rad)
-    return a * a * p * k / (material.youngs_modulus_pa * limit)
+    denominator = material.youngs_modulus_pa * limit
+    t_min = a * a * p * k / denominator if denominator > 0.0 else math.inf
+    if math.isinf(t_min):
+        raise InputDomainError(
+            f"{material.name}: minimum thickness overflows at deflection limit {limit:g} um:"
+            " the inputs are out of range"
+        )
+    return t_min
 
 
 def desirability(
@@ -485,11 +491,7 @@ def thickness_profile(
     same order with K(nu, alpha) taken once.  Cases are built only at the
     two ends, for their checks and thin-shell warnings: t/a grows with t.
     """
-    n = int(n_points)
-    if n < 2:
-        raise InputDomainError(f"n_points must be at least 2, got {n_points!r}")
-    if n > MAX_PROFILE_POINTS:
-        raise InputDomainError(f"n_points must be at most {MAX_PROFILE_POINTS}, got {n_points!r}")
+    n = sample_count("n_points", n_points)
     p_atm = criteria.max_pressure_atm if pressure_atm is None else float(pressure_atm)
     p_pa = atm_to_pa(p_atm, atm_pa)
     lo, hi = criteria.thickness_range_um

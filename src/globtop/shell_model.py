@@ -37,7 +37,7 @@ import math
 from collections.abc import Iterable
 from functools import partial
 
-from .errors import InputDomainError, Record, integer, write_text
+from .errors import InputDomainError, Record, finite_non_negative, integer, write_text
 from .geometry import CapGeometry, thinness_ratio
 from .materials import Material
 
@@ -69,20 +69,15 @@ class ShellCase(Record):
     pressure_pa: float
 
     def __post_init__(self) -> None:
-        p = float(self.pressure_pa)
-        if not math.isfinite(p) or p < 0.0:
-            raise InputDomainError(
-                f"pressure_pa must be finite and non-negative, got {p!r}"
-            )
+        finite_non_negative("pressure_pa", self.pressure_pa)
         thinness_ratio(self.geometry, self.thickness_um)
 
     @property
     def load_factor_um(self) -> float:
-        """C = a**2 P / (E t) in um."""
+        """C = a**2 P / (E t) in um; inf where E t underflows to 0."""
         a = self.geometry.radius_um
-        return (a * a * self.pressure_pa) / (
-            self.material.youngs_modulus_pa * self.thickness_um
-        )
+        stiffness = self.material.youngs_modulus_pa * self.thickness_um
+        return (a * a * self.pressure_pa) / stiffness if stiffness > 0.0 else math.inf
 
 
 def apex_coefficient(poisson_ratio: float, base_angle_rad: float) -> float:
@@ -141,8 +136,12 @@ def radial_w(case: ShellCase, phi_rad: float) -> float:
 
 
 def apex_deflection(case: ShellCase) -> float:
-    """Peak deflection magnitude |w(0)| in um, the screening response."""
-    return abs(radial_w(case, 0.0))
+    """Peak deflection magnitude |w(0)| in um, the screening response; an
+    apex that is not finite means the inputs are out of range."""
+    w = abs(radial_w(case, 0.0))
+    if not math.isfinite(w):
+        raise InputDomainError(f"apex deflection is {w!r} um: the inputs are out of range")
+    return w
 
 
 class DeflectionProfile(Record):
@@ -168,15 +167,20 @@ class DeflectionProfile(Record):
         write_text(target, "".join(lines))
 
 
+def sample_count(name: str, n) -> int:
+    """A profile's sample count ``n``, 2 to ``MAX_PROFILE_POINTS``, as an int;
+    an InputDomainError names ``name``."""
+    count = int(n)
+    if count < 2:
+        raise InputDomainError(f"{name} must be at least 2, got {n!r}")
+    if count > MAX_PROFILE_POINTS:
+        raise InputDomainError(f"{name} must be at most {MAX_PROFILE_POINTS}, got {n!r}")
+    return count
+
+
 def profile(case: ShellCase, n_samples: int) -> DeflectionProfile:
     """Sample v and w at n_samples uniform angles over [0, alpha]."""
-    n = int(n_samples)
-    if n < 2:
-        raise InputDomainError(f"n_samples must be at least 2, got {n_samples!r}")
-    if n > MAX_PROFILE_POINTS:
-        raise InputDomainError(
-            f"n_samples must be at most {MAX_PROFILE_POINTS}, got {n_samples!r}"
-        )
+    n = sample_count("n_samples", n_samples)
     alpha = case.geometry.base_angle_rad
     phis = tuple(alpha * i / (n - 1) for i in range(n))
     vs = tuple(meridional_v(case, p) for p in phis)

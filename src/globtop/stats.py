@@ -100,13 +100,19 @@ def _check_df(name: str, df: float) -> float:
     return df
 
 
-def f_upper_tail(f: float, df_num: float, df_den: float) -> float:
-    """P(F > f) for an F(df_num, df_den) variate; the ANOVA p-value."""
+def _check_f(f: float, df_num: float, df_den: float) -> tuple[float, float, float]:
+    """The arguments of an F tail, checked: f >= 0 and both df >= 1."""
     d1 = _check_df("df_num", df_num)
     d2 = _check_df("df_den", df_den)
     f = float(f)
     if math.isnan(f) or f < 0.0:
         raise InputDomainError(f"f must be non-negative, got {f!r}")
+    return f, d1, d2
+
+
+def f_upper_tail(f: float, df_num: float, df_den: float) -> float:
+    """P(F > f) for an F(df_num, df_den) variate; the ANOVA p-value."""
+    f, d1, d2 = _check_f(f, df_num, df_den)
     if f == 0.0:
         return 1.0
     if math.isinf(f):
@@ -117,11 +123,7 @@ def f_upper_tail(f: float, df_num: float, df_den: float) -> float:
 
 def f_lower_tail(f: float, df_num: float, df_den: float) -> float:
     """P(F <= f), computed from the complementary beta argument."""
-    d1 = _check_df("df_num", df_num)
-    d2 = _check_df("df_den", df_den)
-    f = float(f)
-    if math.isnan(f) or f < 0.0:
-        raise InputDomainError(f"f must be non-negative, got {f!r}")
+    f, d1, d2 = _check_f(f, df_num, df_den)
     if f == 0.0:
         return 0.0
     if math.isinf(f):
@@ -159,12 +161,6 @@ class AnovaTable(Record):
             rows.append(["Total (uncorrected)", 9, _fmt4(self.ss_total_uncorrected), "", "", ""])
         return csv_text(AnovaRow._fields, rows)
 
-    def to_json_dict(self) -> dict:
-        doc = {"rows": [r.as_dict() for r in self.rows]}
-        if self.ss_total_uncorrected is not None:
-            doc["ss_total_uncorrected"] = self.ss_total_uncorrected
-        return doc
-
 
 def _fmt4(value: float | None) -> str:
     if value is None:
@@ -181,25 +177,26 @@ def _check_ss(name: str, ss: float) -> float:
     return ss
 
 
+def _f_ratio(ms: float, mse: float) -> float:
+    """The F ratio ms / mse.  A zero error mean square is degenerate: F is
+    then 0 (p = 1) for a zero ms, and infinite (p = 0) otherwise."""
+    if mse == 0.0:
+        return 0.0 if ms == 0.0 else math.inf
+    return ms / mse
+
+
 def anova_from_components(
     ss_model: float, df_model: int, ss_error: float, df_error: int
 ) -> AnovaTable:
-    """Build the pooled table from model and error sums of squares.
-
-    A zero error mean square is degenerate: the model F is reported as 0
-    (p = 1) when the model sum of squares is also zero, and as infinity
-    (p = 0) otherwise.
-    """
+    """Build the pooled table from model and error sums of squares; the
+    model F follows ``_f_ratio``."""
     ssm = _check_ss("ss_model", ss_model)
     sse = _check_ss("ss_error", ss_error)
     dfm = int(_check_df("df_model", df_model))
     dfe = int(_check_df("df_error", df_error))
     msm = ssm / dfm
     mse = sse / dfe
-    if mse == 0.0:
-        f = 0.0 if msm == 0.0 else math.inf
-    else:
-        f = msm / mse
+    f = _f_ratio(msm, mse)
     p = f_upper_tail(f, dfm, dfe)
     return AnovaTable(
         rows=(
@@ -264,23 +261,6 @@ class ScreeningFit(Record):
             + self.thickness_slope_per_um * (thickness_um - self.thickness_mean_um)
             + self.pressure_slope_per_atm * (pressure_atm - self.pressure_mean_atm)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "grand_mean_um": self.grand_mean,
-            "material_means_um": dict(zip(self.material_names, self.material_means)),
-            "thickness_slope_um_per_um": self.thickness_slope_per_um,
-            "pressure_slope_um_per_atm": self.pressure_slope_per_atm,
-            "ss": {
-                "material": self.ss_material,
-                "thickness": self.ss_thickness,
-                "pressure": self.ss_pressure,
-                "residual": self.ss_residual,
-                "total_corrected": self.ss_total_corrected,
-                "total_uncorrected": self.ss_total_uncorrected,
-            },
-        }
 
 
 def _levels_and_codes(name: str, values: Sequence) -> tuple[list, list[int]]:
@@ -369,9 +349,8 @@ class EffectTest(Record):
 def effect_tests(fit: ScreeningFit) -> tuple[EffectTest, EffectTest, EffectTest]:
     """Per-factor F tests, in the fixed order material, thickness, pressure.
 
-    With a zero residual mean square the ratios are degenerate and flagged:
-    F is 0 (p = 1) for a factor with zero sum of squares and infinite
-    (p = 0) otherwise.
+    With a zero residual mean square the ratios are degenerate, as
+    ``_f_ratio`` says, and flagged.
     """
     mse = fit.mse
     out = []
@@ -380,14 +359,9 @@ def effect_tests(fit: ScreeningFit) -> tuple[EffectTest, EffectTest, EffectTest]
         ("thickness_um", 1, fit.df_thickness, fit.ss_thickness),
         ("pressure_atm", 1, fit.df_pressure, fit.ss_pressure),
     ):
-        if mse == 0.0:
-            f = 0.0 if ss == 0.0 else math.inf
-            degenerate = True
-        else:
-            f = (ss / df) / mse
-            degenerate = False
+        f = _f_ratio(ss / df, mse)
         p = f_upper_tail(f, df, fit.df_residual)
-        out.append(EffectTest(source, n_params, df, ss, f, p, degenerate))
+        out.append(EffectTest(source, n_params, df, ss, f, p, mse == 0.0))
     return tuple(out)
 
 
@@ -409,15 +383,29 @@ def effects_to_csv_text(effects: Sequence[EffectTest]) -> str:
     return csv_text(EffectTest._fields, rows)
 
 
-def effects_to_json(effects: Sequence[EffectTest]) -> list[dict]:
-    return [e.as_dict() for e in effects]
-
-
 def analysis_json(fit: ScreeningFit, anova: AnovaTable, effects: Sequence[EffectTest]) -> dict:
     """One source's {fit, anova, effects} document: ``anova --format json``
-    prints it, and a study's report.json holds it under ``stats``."""
+    prints it, and a study's report.json holds it under ``stats``.  ``anova``
+    is ``anova_table(fit)``, which carries the uncorrected total."""
     return {
-        "fit": fit.to_json_dict(),
-        "anova": anova.to_json_dict(),
-        "effects": effects_to_json(effects),
+        "fit": {
+            "source": fit.source,
+            "grand_mean_um": fit.grand_mean,
+            "material_means_um": dict(zip(fit.material_names, fit.material_means)),
+            "thickness_slope_um_per_um": fit.thickness_slope_per_um,
+            "pressure_slope_um_per_atm": fit.pressure_slope_per_atm,
+            "ss": {
+                "material": fit.ss_material,
+                "thickness": fit.ss_thickness,
+                "pressure": fit.ss_pressure,
+                "residual": fit.ss_residual,
+                "total_corrected": fit.ss_total_corrected,
+                "total_uncorrected": fit.ss_total_uncorrected,
+            },
+        },
+        "anova": {
+            "rows": [r.as_dict() for r in anova.rows],
+            "ss_total_uncorrected": anova.ss_total_uncorrected,
+        },
+        "effects": [e.as_dict() for e in effects],
     }

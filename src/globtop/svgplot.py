@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import Record
-
 _WIDTH = 640
 _HEIGHT = 420
 _MARGIN_L = 72
@@ -19,17 +17,7 @@ _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 56
 
-PALETTE = ("#1f6fb4", "#c0392b", "#27843f", "#8e44ad", "#b8860b")
-
-
-class Series(Record):
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+_COLOR = "#1f6fb4"
 
 
 def _escape(text: str) -> str:
@@ -38,23 +26,23 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + step * i for i in range(n)]
 
 
 def line_plot(
-    series: Sequence[Series],
+    x: Sequence[float],
+    y: Sequence[float],
+    label: str,
     title: str,
     x_label: str,
     y_label: str,
     h_line: float | None = None,
     h_line_label: str | None = None,
 ) -> str:
-    """Render line series to a standalone SVG string."""
-    xs = [v for s in series for v in s.x if math.isfinite(v)]
-    ys = [v for s in series for v in s.y if math.isfinite(v)]
+    """Render the line through (x, y), labelled ``label``, to a standalone SVG string."""
+    xs = [v for v in x if math.isfinite(v)]
+    ys = [v for v in y if math.isfinite(v)]
     if not xs or not ys:
         raise ValueError("line_plot needs at least one finite point")
     x_lo, x_hi = min(xs), max(xs)
@@ -92,7 +80,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
+            f'font-family="sans-serif" font-size="11">{tx:.2f}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
@@ -102,7 +90,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
+            f'font-family="sans-serif" font-size="11">{ty:.2f}</text>'
         )
     parts.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}" '
@@ -119,16 +107,14 @@ def line_plot(
                 f'<text x="{_WIDTH - _MARGIN_R - 4}" y="{py - 6:.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11" fill="#666666">{_escape(h_line_label)}</text>'
             )
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L + 10}" y="{_MARGIN_T + 18 + 16 * i}" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{_escape(s.label)}</text>'
-        )
+    points = " ".join(f"{sx(u):.2f},{sy(v):.2f}" for u, v in zip(x, y))
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="{_COLOR}" stroke-width="2"/>'
+    )
+    parts.append(
+        f'<text x="{_MARGIN_L + 10}" y="{_MARGIN_T + 18}" '
+        f'font-family="sans-serif" font-size="12" fill="{_COLOR}">{_escape(label)}</text>'
+    )
     parts.append(
         f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'

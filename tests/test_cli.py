@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,10 +9,17 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import globtop as gt
-from globtop.cli import _exit_code, main
+from globtop.cli import _build_parser, _exit_code, main
+from globtop.doe import LEVEL_ROWS
 from globtop.errors import ConfigError, SolverError, StageError
+from globtop.geometry import REFERENCE_GEOMETRY
+from globtop.screening import BOUNDARY_CONDITIONS, CRITERIA_ROWS, FEM_ROWS
+from globtop.shell_model import PROFILE_POINTS_ROW
+from globtop.units import ATM_PA_ROW
 
 from .conftest import HIDE_NUMPY_LAPACK, SIMULATED_UM
 
@@ -146,6 +154,26 @@ def test_deflect_loads_neither_plan_nor_screening_nor_importlib_resources():
         "print(sorted(m for m in ('globtop.doe', 'globtop.screening', 'importlib.resources',"
         " 'typing') if m in sys.modules))",
         "-S",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_closed_form_commands_load_no_pathlib(tmp_path, external_results):
+    # Nor what pathlib imports, urllib.parse and ipaddress: about 6 ms of a
+    # cold start.  The script opens its files without pathlib, and -S keeps
+    # site's .pth files from importing anything first.
+    gt.results_to_csv(external_results, tmp_path / "responses.csv")
+    proc = _run_python(
+        "import contextlib, io, os, sys\nfrom globtop import cli\n"
+        "responses = os.path.join(sys.argv[1], 'responses.csv')\n"
+        "runs = [['geometry'], ['deflect', '--material', 'Polyimide', '--thickness-um', '150',"
+        " '--pressure-atm', '80'], ['plan'], ['optimize'], ['anova', '--responses', responses]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert [cli.main(argv) for argv in runs] == [0] * 5\n"
+        "print(sorted(m for m in ('pathlib', 'urllib.parse', 'ipaddress') if m in sys.modules))",
+        "-S",
+        work=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -331,6 +359,8 @@ def test_an_input_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, comm
 
 
 _FEM_CASE = ["fem", "--material", "Polyimide", "--thickness-um", "150", "--pressure-atm", "80"]
+# One material of E = 1e-300 GPa, whose E times a tiny limit underflows to 0.
+_SOFT_LIBRARY = Path(__file__).with_name("soft_library.json")
 
 
 class TestGeometry:
@@ -414,6 +444,26 @@ class TestGeometry:
             # A ladder writes no nodal CSV.
             ([*_FEM_CASE, "--converge", "--out", "conv.csv"],
              "--out writes one solve's nodal CSV; --converge writes none"),
+            # Numeric edges of the closed form: an E times limit that underflows
+            # to 0, an infinite t_min, and an apex that is NaN because a**2 P
+            # and E t both overflow.
+            (["optimize", "--materials", str(_SOFT_LIBRARY), "--limit-um", "1e-320"],
+             "Soft: minimum thickness overflows at deflection limit"),
+            (["optimize", "--limit-um", "1e-320", "--format", "json"],
+             "Polyimide: minimum thickness overflows at deflection limit"),
+            pytest.param(
+                ["deflect", "--material", "Carbon epoxy resin", "--thickness-um", "1e300", "--pressure-atm", "1e300"],
+                "apex deflection is nan um: the inputs are out of range",
+                marks=pytest.mark.filterwarnings("ignore::globtop.geometry.ThinShellWarning"),
+            ),
+            # Rigidities or a load below the normal floats.
+            (["fem", "--material", "Parylene C", "--thickness-um", "1e-320", "--pressure-atm", "100"],
+             "rigidity underflows at thickness 9.99989e-321 um"),
+            (["fem", "--material", "Parylene C", "--b-um", "0.5", "--h-um", "1e-5", "--thickness-um", "1e-320",
+              "--pressure-atm", "1e-320"], "rigidity underflows at thickness 9.99989e-321 um"),
+            ([*_FEM_CASE[:-1], "1e-320"], "load underflows at pressure 1.01324e-315 Pa"),
+            # Finite scales, and a solve past the floats.
+            ([*_FEM_CASE, "--atm-pa", "1e300"], "displacements overflow at pressure 8e+301 Pa"),
         ],
     )
     def test_form_errors_name_the_flags(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -773,3 +823,86 @@ class TestStudy:
         )
         assert code == 1
         assert "error:" in err
+
+
+# -- every drawn command line ends in exit 0 or 1 ------------------------------
+
+# Each config key's valid value, from the schema rows: their defaults, the
+# reference cap for the geometry rows, and the plan's levels for a load case.
+# The fem flags keep to 4-32 elements, so the draws stay cheap.
+_ROW_VALUES = {key: [default] for key, _, default in (
+    ATM_PA_ROW, PROFILE_POINTS_ROW, *FEM_ROWS, *CRITERIA_ROWS, *LEVEL_ROWS
+)}
+_ROW_VALUES.update({key: [value] for key, value in REFERENCE_GEOMETRY.as_dict().items()})
+_ROW_VALUES.update(
+    thickness_um=list(_ROW_VALUES["thickness_levels_um"][0]),
+    pressure_atm=list(_ROW_VALUES["pressure_levels_atm"][0]),
+    thickness_levels_um=list(_ROW_VALUES["thickness_levels_um"][0]),
+    pressure_levels_atm=list(_ROW_VALUES["pressure_levels_atm"][0]),
+    n_elements=[4, 8, 16, 32],
+    bc=[*BOUNDARY_CONDITIONS, "taped"],
+    material=[*gt.default_library().names, "Unobtainium"],
+)
+_EXTREMES = ["0", "-0.0", "1e-320", "1e300", "inf", "-inf", "nan"]
+# Flags that name input files are left out; --out names a file in the test's directory.
+_PATH_FLAGS = {"--materials", "--config", "--responses", "--help"}
+_SUBCOMMANDS = next(
+    action.choices for action in _build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand of ``_build_parser`` with a draw of its flags.
+
+    Each optional flag is given one time in four, and each number is a schema
+    row's three times in four, else an extreme; so most draws reach the
+    computation, and a case with two extremes still comes up.  --material and
+    --n-elements are always given.
+    """
+    command = draw(st.sampled_from(["geometry", "deflect", "plan", "optimize", "fem"]))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        flag = action.option_strings[-1]
+        always = action.required or action.dest in ("material", "n_elements")
+        if flag in _PATH_FLAGS or not (always or draw(st.integers(0, 3)) == 0):
+            continue
+        argv.append(flag)
+        if flag == "--out":
+            argv.append(f"{command}.csv")
+        elif action.choices:
+            argv.append(draw(st.sampled_from([*action.choices, "yaml"])))
+        elif action.nargs != 0:
+            values = valid = st.sampled_from([str(v) for v in _ROW_VALUES[action.dest]])
+            if action.type in (int, float):
+                values = valid | valid | valid | st.sampled_from(_EXTREMES)
+            argv += draw(st.lists(values, min_size=3, max_size=3)) if action.nargs == 3 else [draw(values)]
+    return argv
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+# The defects that hand-run inputs found: a NaN apex, an infinite t_min
+# printed as the JSON constant Infinity, and rigidities below the normal
+# floats, which made a singular system and exit 2.
+@example(["deflect", "--material", "Carbon epoxy resin", "--thickness-um", "1e300", "--pressure-atm", "1e300"])
+@example(["optimize", "--limit-um", "1e-320", "--format", "json"])
+@example(["fem", "--material", "Parylene C", "--thickness-um", "1e-320", "--pressure-atm", "100", "--n-elements", "8"])
+def test_every_command_line_ends_in_exit_0_or_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gt.ThinShellWarning)
+        code, out, err = run_cli(capsys, *argv)  # a traceback fails here
+    assert code in (0, 1), err
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+        if "json" in argv:
+            json.loads(out, parse_constant=_no_constant)
+    else:
+        assert out == "" and err.count("\n") >= 1

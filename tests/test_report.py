@@ -21,7 +21,7 @@ from globtop.report import (
     parse_config_file,
     run_study,
 )
-from globtop.svgplot import Series, line_plot
+from globtop.svgplot import line_plot
 
 from .conftest import CALCULATED_UM, SIMULATED_UM, replaced
 
@@ -609,9 +609,9 @@ class TestRunStudy:
 
 class TestSvgPlot:
     def test_deterministic_output(self):
-        series = [Series(label="curve", x=(0.0, 1.0, 2.0), y=(1.0, 4.0, 9.0))]
-        a = line_plot(series, "title", "x", "y", h_line=5.0, h_line_label="cap")
-        b = line_plot(series, "title", "x", "y", h_line=5.0, h_line_label="cap")
+        series = ((0.0, 1.0, 2.0), (1.0, 4.0, 9.0), "curve")
+        a = line_plot(*series, "title", "x", "y", h_line=5.0, h_line_label="cap")
+        b = line_plot(*series, "title", "x", "y", h_line=5.0, h_line_label="cap")
         assert a == b
         assert a.startswith("<svg ")
         assert "cap" in a
@@ -619,4 +619,4 @@ class TestSvgPlot:
 
     def test_requires_finite_points(self):
         with pytest.raises(ValueError):
-            line_plot([Series(label="empty", x=(), y=())], "t", "x", "y")
+            line_plot((), (), "empty", "t", "x", "y")

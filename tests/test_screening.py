@@ -113,6 +113,12 @@ class TestMinThickness:
         t10 = gt.min_thickness(cer, reference_cap, p, 10.0)
         assert t10 == pytest.approx(0.5 * t5, rel=1e-14)
 
+    @pytest.mark.parametrize("modulus_gpa", [70.0, 1e-300], ids=["overflow", "zero-denominator"])
+    def test_a_thickness_that_is_not_finite_is_out_of_range(self, reference_cap, modulus_gpa):
+        material = gt.Material("Soft", modulus_gpa, 0.3)
+        with pytest.raises(InputDomainError, match="Soft: minimum thickness overflows"):
+            gt.min_thickness(material, reference_cap, 1.0e7, 1e-320)
+
     @pytest.mark.parametrize("p,limit", [(-1.0, 5.0), (float("nan"), 5.0), (1e6, 0.0)])
     def test_domain(self, cer, reference_cap, p, limit):
         with pytest.raises(InputDomainError):

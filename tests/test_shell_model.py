@@ -2,6 +2,7 @@ import io
 import math
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,22 @@ class TestDomain:
     def test_nan_pressure_rejected(self, reference_cap, cer):
         with pytest.raises(InputDomainError):
             gt.ShellCase(reference_cap, 250.0, cer, float("nan"))
+
+    @pytest.mark.parametrize(
+        "modulus_gpa, thickness, pressure, shown",
+        [
+            (70.0, 1e300, 1e305, "nan"),  # a**2 P and E t both overflow
+            (70.0, 1e-300, 1e300, "inf"),  # C overflows
+            (1e-300, 1e-40, 1.0, "inf"),  # E t underflows to 0
+        ],
+    )
+    def test_an_apex_that_is_not_finite_is_out_of_range(self, reference_cap, modulus_gpa, thickness, pressure, shown):
+        material = gt.Material("Soft", modulus_gpa, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gt.ThinShellWarning)
+            case = gt.ShellCase(reference_cap, thickness, material, pressure)
+        with pytest.raises(InputDomainError, match=f"apex deflection is {shown} um"):
+            gt.apex_deflection(case)
 
     @pytest.mark.parametrize("phi", [-1e-3, float("nan"), float("inf")])
     def test_angle_outside_cap_rejected(self, stiff_case, phi):

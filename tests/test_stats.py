@@ -5,7 +5,7 @@ import pytest
 
 import globtop as gt
 from globtop.errors import FitError, InputDomainError
-from globtop.stats import effects_to_csv_text, effects_to_json
+from globtop.stats import analysis_json, effects_to_csv_text
 
 from .conftest import PLAN_ROWS, SIMULATED_UM, replaced
 from .oracles import f_upper_tail_quad
@@ -336,7 +336,8 @@ class TestEffectTests:
         )
 
     def test_json_shape(self, external_fit):
-        docs = effects_to_json(gt.effect_tests(external_fit))
+        table, effects = gt.anova_table(external_fit), gt.effect_tests(external_fit)
+        docs = analysis_json(external_fit, table, effects)["effects"]
         assert [d["source"] for d in docs] == ["material", "thickness_um", "pressure_atm"]
         assert all(set(d) == {"source", "n_params", "df", "ss", "f", "p", "degenerate"} for d in docs)
 

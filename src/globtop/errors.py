@@ -72,7 +72,7 @@ def real(name: str, value, *, finite: bool = True, error: type = InputDomainErro
     ``finite=False`` lets inf and NaN through to a caller that checks them.
     """
     try:
-        if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
+        if type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)):
             number = float(value)
             if not finite or math.isfinite(number):
                 return number

@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable, Sequence
 from functools import partial
 
-from .errors import ConfigError, Record, ResponderError, csv_text, numbers, read_text, write_text
+from .errors import ConfigError, InputDomainError, Record, ResponderError, csv_text, numbers, read_text, write_text
 from .geometry import CapGeometry
 from .materials import Material, MaterialLibrary
 from .shell_model import ShellCase
@@ -216,7 +216,8 @@ def realize_responses(
     column, in run order) or a callable taking the run's ShellCase and
     returning the deflection in um; callables require ``geometry``.  Any
     exception inside a callable is re-raised as ResponderError naming the
-    1-based run that failed.
+    1-based run that failed, except an InputDomainError, which is re-raised
+    as one naming the run.
     """
     if callable(responder):
         if geometry is None:
@@ -233,6 +234,8 @@ def realize_responses(
                 value = float(responder(case))
             except ResponderError:
                 raise
+            except InputDomainError as exc:  # out-of-range inputs stay an input error
+                raise InputDomainError(f"run {spec.run}: {exc}") from exc
             except Exception as exc:
                 raise ResponderError(spec.run, f"responder failed: {exc}") from exc
             if not math.isfinite(value):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from collections.abc import Mapping
 from numbers import Real
 
@@ -107,13 +108,28 @@ def read_text(path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+# os.open's flags for writing a file from its start; O_BINARY, where it
+# exists (Windows), keeps every line ending LF.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def write_text(target, text: str) -> None:
-    """Write ``text`` to ``target``: a stream, or a path written as UTF-8."""
+    """Write ``text`` to ``target``: a stream, or a path written as UTF-8.
+
+    A path takes one os.open, os.write until every byte is written, and
+    os.close; a text-mode open would add an fstat, an isatty ioctl and an
+    lseek to each file, and translate line endings on Windows.
+    """
     if hasattr(target, "write"):
         target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as file:
-            file.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(target, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def csv_text(header, rows) -> str:

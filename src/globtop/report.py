@@ -36,7 +36,7 @@ from .doe import (
     realize_responses,
     results_to_csv,
 )
-from .errors import ConfigError, Record, StageError, csv_text, numbers, read_text, resolve
+from .errors import ConfigError, Record, StageError, csv_text, numbers, read_text, resolve, write_text
 from .geometry import REFERENCE_CAP, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, library_block, load_library_file
 from .screening import (
@@ -47,9 +47,9 @@ from .screening import (
     Verdict,
     mesh_cap,
     screen,
-    solve_case,
     thickness_profile,
 )
+from .screening import solve_case  # noqa: F401  # unused; bench/spans.py hooks report.solve_case
 from .shell_model import PROFILE_POINTS_ROW, apex_deflection
 from .stats import (
     AnovaTable,
@@ -243,13 +243,14 @@ def _slug(name: str) -> str:
 
 
 def _responses(
-    config: StudyConfig, plan: ExperimentPlan, source: str, mesh: ShellMesh | None
+    config: StudyConfig, plan: ExperimentPlan, source: str, mesh: ShellMesh | None, memo: dict
 ):
     def fem_apex(case) -> float:
-        sol = solve_case(
-            mesh, case.thickness_um, case.material, case.pressure_pa, config.fem_bc
+        from .fem import solve_apex
+
+        return solve_apex(
+            mesh, case.thickness_um, case.material, case.pressure_pa, config.fem_bc, memo=memo
         )
-        return sol.apex_deflection_um
 
     responder = {
         "analytical": apex_deflection,
@@ -303,7 +304,9 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
 
     # One mesh serves the fem responses and the fem screen, and lives as long
     # as this study; one element pass builds its parts for every Poisson ratio.
-    mesh = None
+    # So does the memo of the FEM apex per (mesh, rim, nu, t): a study's
+    # cases of one key are solved once and scaled by P/E after that.
+    mesh, fem_memo = None, {}
     if "fem" in config.sources:
         with _stage("responses:fem"):
             from .fem import _build_unit_systems
@@ -314,7 +317,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
     responses: dict[str, tuple[RunResult, ...]] = {}
     for source in config.sources:
         with _stage(f"responses:{source}"):
-            responses[source] = _responses(config, plan, source, mesh)
+            responses[source] = _responses(config, plan, source, mesh, fem_memo)
             files[f"responses_{source}.csv"] = _csv(results_to_csv, responses[source])
 
     comparison, pair = None, _comparison_sources(config)
@@ -351,6 +354,7 @@ def run_study(config: StudyConfig, out_dir: str | Path) -> StudyReport:
                 fem_bc=config.fem_bc,
                 fem_mesh=mesh,
                 fem_responses=responses.get("fem", ()),
+                fem_memo=fem_memo,
             )
         analyses.append(
             SourceAnalysis(
@@ -437,10 +441,10 @@ def _write_artifacts(out: Path, files: dict[str, str]) -> None:
             for path in stale_artifacts:
                 os.unlink(path)
         for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8")
+            write_text(os.path.join(out, name), text)
     except Exception as exc:
         with suppress(OSError):
-            stale.write_text("incomplete study: stage write failed\n", encoding="utf-8")
+            write_text(stale, "incomplete study: stage write failed\n")
         raise StageError("write", exc) from exc
 
 
@@ -452,7 +456,9 @@ def _csv(write, rows) -> str:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    """Compact JSON, which json's C encoder writes; ``indent`` would force
+    its pure-Python encoder, at about three times the cost."""
+    return json.dumps(doc, sort_keys=True, allow_nan=True) + "\n"
 
 
 def _report_doc(report: StudyReport) -> dict:

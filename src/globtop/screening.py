@@ -132,10 +132,14 @@ def min_thickness(
 def desirability(
     deflection_um: float, lower_target_um: float = 0.0, upper_bound_um: float = 5.0
 ) -> float:
-    """Smaller-is-better score in [0, 1], linear between target and bound."""
+    """Smaller-is-better score in [0, 1], linear between target and bound.
+
+    An infinite bound, the limit of a study without one, scores every
+    finite deflection 1.0.
+    """
     lo = float(lower_target_um)
     hi = float(upper_bound_um)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    if not math.isfinite(lo) or not lo < hi:
         raise InputDomainError(
             f"need lower_target_um < upper_bound_um, got {lo!r}, {hi!r}"
         )
@@ -146,6 +150,8 @@ def desirability(
         return 1.0
     if w >= hi:
         return 0.0
+    if math.isinf(hi):
+        return 1.0
     return (hi - w) / (hi - lo)
 
 
@@ -216,7 +222,11 @@ def solve_case(
     pressure_pa: float,
     bc: str = "clamped",
 ) -> FemSolution:
-    """``fem.solve_case``, with ``fem`` imported on first use."""
+    """``fem.solve_case``, with ``fem`` imported on first use.
+
+    The screen solves through ``fem.solve_apex``; this forwarder is kept
+    only because bench/spans.py hooks ``screening.solve_case``.
+    """
     from . import fem
 
     return fem._solve_case(mesh, thickness_um, material, pressure_pa, bc)
@@ -309,6 +319,7 @@ def _fem_min_thickness(
     limit_um: float,
     bc: str,
     seed: float | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Thickness at which the FEM apex deflection equals the limit.
 
@@ -316,7 +327,7 @@ def _fem_min_thickness(
     as 1/t**3 where bending does, so g = log(w / limit) is nearly linear in
     u = log t.  Newton's method finds its root from ``seed``, a u given by
     the caller, else from the closed form, with the exact slope of each
-    solve (``fem.apex_slope``).  A Newton step shorter than
+    solve (``fem.solve_apex``, which also fills ``memo``).  A Newton step shorter than
     ``_NEWTON_STOP`` is taken as the root without another solve.  Every
     solve tightens a bracket of the root; a step that leaves it, or that
     follows a solve which did not shrink |g|, is a bisection of it, or,
@@ -327,7 +338,7 @@ def _fem_min_thickness(
     """
     if pressure_pa == 0.0 or math.isinf(limit_um):
         return 0.0
-    from .fem import apex_slope
+    from .fem import solve_apex
 
     u_max = math.log(geometry.radius_um)
     if seed is None:
@@ -337,8 +348,7 @@ def _fem_min_thickness(
     for _ in range(_ROOT_MAXITER):
         # exp(u_max) may round above the radius, which a solve rejects.
         t = min(math.exp(u), geometry.radius_um)
-        sol = solve_case(mesh, t, material, pressure_pa, bc)
-        w = sol.apex_deflection_um
+        w, dw = solve_apex(mesh, t, material, pressure_pa, bc, slope=True, memo=memo)
         g = math.log(w / limit_um)
         if g == 0.0:
             return t
@@ -351,7 +361,7 @@ def _fem_min_thickness(
                 f"{material.name}: no feasible thickness up to the sphere radius "
                 f"{geometry.radius_um:g} um at this pressure"
             )
-        slope = t * apex_slope(sol) / w  # dg/du, negative
+        slope = t * dw / w  # dg/du, negative
         step = -g / slope if slope < 0.0 else math.nan
         if lo < u + step < hi and abs(g) < g_last:
             if abs(step) < _NEWTON_STOP:
@@ -404,6 +414,7 @@ def screen(
     fem_bc: str = "clamped",
     fem_mesh: ShellMesh | None = None,
     fem_responses: Sequence[RunResult] = (),
+    fem_memo: dict | None = None,
 ) -> tuple[Verdict, ...]:
     """Screen every library material under one response source.
 
@@ -413,7 +424,9 @@ def screen(
     the fem source ``fem_mesh``, a mesh of ``geometry``.  The fem source
     seeds each material's root find from its ``fem_responses`` on that mesh,
     where they hold three loaded thicknesses: the apex is linear in P, so
-    each response scaled to the worst pressure is a point of g(u).
+    each response scaled to the worst pressure is a point of g(u).  Its
+    solves go through ``fem.solve_apex`` with ``fem_memo``, the study's memo
+    of the apex per (mesh, rim, nu, t), else one of this screen's own.
     """
     if source not in SOURCES:
         raise ConfigError(f"source must be one of {SOURCES}, got {source!r}")
@@ -423,6 +436,7 @@ def screen(
         raise ConfigError("fem screening requires a mesh of the geometry")
     p_max = atm_to_pa(criteria.max_pressure_atm, atm_pa)
     limit = criteria.deflection_limit_um
+    memo = {} if fem_memo is None else fem_memo
     verdicts = []
     for mat in library:
         if source == "analytical":
@@ -431,6 +445,8 @@ def screen(
                 ShellCase(geometry, criteria.max_thickness_um, mat, p_max)
             )
         elif source == "fem":
+            from .fem import solve_apex
+
             p_atm = criteria.max_pressure_atm
             points = [
                 (math.log(r.thickness_um), math.log(r.response_um * p_atm / r.pressure_atm))
@@ -438,9 +454,9 @@ def screen(
                 if r.material_name == mat.name and r.pressure_atm > 0.0
             ]
             t_min = _fem_min_thickness(
-                mat, geometry, fem_mesh, p_max, limit, fem_bc, _seed(points, math.log(limit))
+                mat, geometry, fem_mesh, p_max, limit, fem_bc, _seed(points, math.log(limit)), memo
             )
-            worst = solve_case(fem_mesh, criteria.max_thickness_um, mat, p_max, fem_bc).apex_deflection_um
+            worst = solve_apex(fem_mesh, criteria.max_thickness_um, mat, p_max, fem_bc, memo=memo)
         else:
             t_min = _fit_min_thickness(fit, mat.name, criteria)
             worst = fit.predict(

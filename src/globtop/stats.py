@@ -298,40 +298,46 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
     # The audited plan is balanced and orthogonal, so least squares decouples:
     # each material coefficient is its level mean and each slope is its own
     # contrast sum(x_c * y) / sum(x_c**2).  Every sum is exact (fsum), so the
-    # fit does not depend on the order of the results.
-    t_mean = math.fsum(thicknesses) / 9.0
-    p_mean = math.fsum(pressures) / 9.0
-    t_c = [v - t_mean for v in thicknesses]
-    p_c = [v - p_mean for v in pressures]
-    grand = math.fsum(y) / 9.0
-    means = {
-        name: math.fsum(v for v, n in zip(y, names) if n == name) / 3.0
-        for name in mat_levels
-    }
-    t_ss = math.fsum(x * x for x in t_c)
-    p_ss = math.fsum(x * x for x in p_c)
-    slope_t = math.fsum(x * v for x, v in zip(t_c, y)) / t_ss
-    slope_p = math.fsum(x * v for x, v in zip(p_c, y)) / p_ss
-    fitted = [means[n] + slope_t * tc + slope_p * pc for n, tc, pc in zip(names, t_c, p_c)]
+    # fit does not depend on the order of the results.  Responses near the
+    # top of the float range overflow a square or a sum of squares.
+    try:
+        t_mean = math.fsum(thicknesses) / 9.0
+        p_mean = math.fsum(pressures) / 9.0
+        t_c = [v - t_mean for v in thicknesses]
+        p_c = [v - p_mean for v in pressures]
+        grand = math.fsum(y) / 9.0
+        means = {
+            name: math.fsum(v for v, n in zip(y, names) if n == name) / 3.0
+            for name in mat_levels
+        }
+        t_ss = math.fsum(x * x for x in t_c)
+        p_ss = math.fsum(x * x for x in p_c)
+        slope_t = math.fsum(x * v for x, v in zip(t_c, y)) / t_ss
+        slope_p = math.fsum(x * v for x, v in zip(p_c, y)) / p_ss
+        fitted = [means[n] + slope_t * tc + slope_p * pc for n, tc, pc in zip(names, t_c, p_c)]
 
-    return ScreeningFit(
-        source=results[0].source,
-        material_names=tuple(mat_levels),
-        material_means=tuple(means[n] for n in mat_levels),
-        grand_mean=grand,
-        thickness_mean_um=t_mean,
-        pressure_mean_atm=p_mean,
-        thickness_slope_per_um=slope_t,
-        pressure_slope_per_atm=slope_p,
-        ss_material=sum(3.0 * (m - grand) ** 2 for m in means.values()),
-        ss_thickness=slope_t**2 * t_ss,
-        ss_pressure=slope_p**2 * p_ss,
-        ss_residual=math.fsum((v - f) * (v - f) for v, f in zip(y, fitted)),
-        ss_total_corrected=math.fsum((v - grand) * (v - grand) for v in y),
-        ss_total_uncorrected=math.fsum(v * v for v in y),
-        responses=tuple(y),
-        fitted=tuple(fitted),
-    )
+        return ScreeningFit(
+            source=results[0].source,
+            material_names=tuple(mat_levels),
+            material_means=tuple(means[n] for n in mat_levels),
+            grand_mean=grand,
+            thickness_mean_um=t_mean,
+            pressure_mean_atm=p_mean,
+            thickness_slope_per_um=slope_t,
+            pressure_slope_per_atm=slope_p,
+            ss_material=sum(3.0 * (m - grand) ** 2 for m in means.values()),
+            ss_thickness=slope_t**2 * t_ss,
+            ss_pressure=slope_p**2 * p_ss,
+            ss_residual=math.fsum((v - f) * (v - f) for v, f in zip(y, fitted)),
+            ss_total_corrected=math.fsum((v - grand) * (v - grand) for v in y),
+            ss_total_uncorrected=math.fsum(v * v for v in y),
+            responses=tuple(y),
+            fitted=tuple(fitted),
+        )
+    except OverflowError as exc:
+        raise InputDomainError(
+            f"{results[0].source} responses are out of range: their sums of squares overflow"
+        ) from exc
 
 
 class EffectTest(Record):

@@ -824,6 +824,56 @@ class TestStudy:
         assert code == 1
         assert "error:" in err
 
+    # Values the schema takes whose study leaves the float range: pressures
+    # whose closed-form apex overflows in run 1, and materials of about
+    # 1e-300 GPa whose responses overflow the fit's sums of squares.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"pressure_levels_atm": [1e300, 2e300, 3e300]}, "run 1: apex deflection is inf"),
+            (
+                {
+                    "materials": {"materials": [
+                        {"name": name, "youngs_modulus_gpa": e, "poisson_ratio": 0.3}
+                        for name, e in (("a", 1e-300), ("b", 2e-300), ("c", 3e-300))
+                    ]},
+                    "thickness_levels_um": [1e30, 2e30, 3e30],
+                },
+                "analytical responses are out of range",
+            ),
+        ],
+        ids=["apex", "fit"],
+    )
+    def test_a_config_out_of_the_float_range_is_an_input_error(self, capsys, tmp_path, doc, message):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gt.ThinShellWarning)
+            code, _, err = run_cli(
+                capsys, "study", "--config", str(config), "--out", str(tmp_path / "out")
+            )
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+
+    def test_an_infinite_deflection_limit_passes_every_material(self, capsys, tmp_path):
+        config = tmp_path / "study.json"
+        doc = {
+            "sources": ["analytical", "fem"],
+            "fem": {"n_elements": 16},
+            "criteria": {"deflection_limit_um": float("inf")},
+        }
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "study", "--config", str(config), "--out", str(out_dir))
+        assert code == 0, err
+        lines = (out_dir / "verdicts.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == 6
+        for line in lines:
+            _, _, t_min, _, verdict = line.rsplit(",", 4)
+            assert (t_min, verdict) == ("0.0000", "pass")
+
 
 # -- every drawn command line ends in exit 0 or 1 ------------------------------
 

@@ -3,7 +3,7 @@ import io
 import pytest
 
 import globtop as gt
-from globtop.errors import ConfigError, ResponderError
+from globtop.errors import ConfigError, InputDomainError, ResponderError
 
 from .conftest import PLAN_ROWS, SIMULATED_UM, replaced
 
@@ -184,6 +184,13 @@ class TestRealizeResponses:
         with pytest.raises(ResponderError, match="run 4") as err:
             gt.realize_responses(plan, flaky, geometry=reference_cap)
         assert err.value.run == 4
+
+    def test_callable_input_error_stays_an_input_error(self, plan, reference_cap):
+        def out_of_range(case):
+            raise InputDomainError("apex deflection is inf um")
+
+        with pytest.raises(InputDomainError, match="^run 1: apex deflection is inf um$"):
+            gt.realize_responses(plan, out_of_range, geometry=reference_cap)
 
     def test_callable_nan_rejected(self, plan, reference_cap):
         with pytest.raises(ResponderError, match="run 1"):

@@ -415,9 +415,10 @@ class TestStiffnessParts:
 
     def test_assembly_does_not_depend_on_the_blas_kernel(self):
         # The factor and the solve do depend on the kernel, but under each
-        # kernel numpy's LAPACK and scipy's extension agree to the bit, and
-        # every level of a ladder, whose parts come from one pass over all
-        # its meshes, is the solve of a lone mesh.
+        # kernel numpy's LAPACK and scipy's extension agree to the bit, every
+        # level of a ladder, whose parts come from one pass over all its
+        # meshes, is the solve of a lone mesh, and the study's apex entry
+        # gives solve_case's apex.
         script = (
             "import hashlib, numpy as np, globtop as gt\n"
             "from globtop import fem\n"
@@ -438,8 +439,10 @@ class TestStiffnessParts:
             "    lone = [fem.solve_case(fem.mesh_cap(cap, n), 150.0, cer,\n"
             "                           gt.atm_to_pa(100.0), bc).apex_deflection_um\n"
             "            for n in ladder.levels]\n"
+            "    apex = fem.solve_apex(mesh, 150.0, cer, gt.atm_to_pa(100.0), bc, slope=True)[0]\n"
             "    print(pbtrf is not fem._PBTRF, np.array_equal(factor, sol.factor),\n"
-            "          np.array_equal(x[1::3], sol.u_z_um), list(ladder.apex_um) == lone)\n"
+            "          np.array_equal(x[1::3], sol.u_z_um), list(ladder.apex_um) == lone,\n"
+            "          apex == sol.apex_deflection_um)\n"
         )
         src = str(Path(gt.__file__).resolve().parents[1])
         procs = []
@@ -459,7 +462,7 @@ class TestStiffnessParts:
         assert len(digests[0]) == 64
         assert digests == [digests[0]] * 5
         for lines in outputs:
-            assert lines[1:] == ["True True True True"] * 2
+            assert lines[1:] == ["True True True True True"] * 2
 
     def test_building_the_parts_keeps_its_temporaries_small(self, reference_cap):
         # Large temporaries may be mapped and page-faulted afresh on every
@@ -509,8 +512,9 @@ class TestStiffnessParts:
 
 
 class TestApexSlope:
-    # Against a central difference in u = log t with h = 1e-3, on 96
-    # elements.  Its truncation, h**2 |g'''| / 6, is at most 9.5e-8 on these
+    # The slope of ``solve_apex``, against a central difference of
+    # ``solve_case``'s apex in u = log t with h = 1e-3, on 96 elements.  Its
+    # truncation, h**2 |g'''| / 6, is at most 9.5e-8 on these
     # cases; the apex's roundoff, about APEX_REL_256 * (96/256)**4 = 4e-10
     # of itself (the condition grows as N**4), adds up to 4e-10 / h = 4e-7.
     # The measured gap is at most 4.3e-7.
@@ -524,16 +528,24 @@ class TestApexSlope:
             def g(u):
                 return math.log(fem.solve_case(mesh, math.exp(u), material, p, bc).apex_deflection_um)
 
-            sol = fem.solve_case(mesh, t, material, p, bc)
-            exact = t * fem.apex_slope(sol) / sol.apex_deflection_um
+            w, dw = fem.solve_apex(mesh, t, material, p, bc, slope=True)
+            assert w == fem.solve_case(mesh, t, material, p, bc).apex_deflection_um
+            exact = t * dw / w
             central = (g(math.log(t) + h) - g(math.log(t) - h)) / (2.0 * h)
             assert abs(exact - central) < 1e-7 + 4e-7
 
-    def test_leaves_the_solution_as_it_was(self, clamped_256):
-        arrays = (clamped_256.u_z_um, clamped_256.stiffness, clamped_256.factor)
-        kept = [a.copy() for a in arrays]
-        fem.apex_slope(clamped_256)
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+    def test_leaves_the_solution_as_it_was(self, cap_mesh, cer, clamped_256):
+        # The slope's back-solve comes after the apex is read, and the
+        # mesh's shared unit parts stay as they were.
+        parts = [a.copy() for a in fem._unit_system(cap_mesh, cer.poisson_ratio)]
+        p = gt.atm_to_pa(100.0)
+        w, _ = fem.solve_apex(cap_mesh, 150.0, cer, p, "clamped", slope=True)
+        assert w == fem.solve_apex(cap_mesh, 150.0, cer, p, "clamped")
+        assert w == clamped_256.apex_deflection_um
+        kept = fem._unit_system(cap_mesh, cer.poisson_ratio)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, parts))
+        again = fem.solve_case(cap_mesh, 150.0, cer, p, "clamped")
+        assert again.apex_deflection_um == clamped_256.apex_deflection_um
 
 
 class TestConditionEstimate:

@@ -1,4 +1,5 @@
-import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +28,21 @@ def test_dir_lists_every_public_name():
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no attribute 'solve_cases'"):
         gt.solve_cases
+
+
+def test_every_attribute_the_benchmark_tracer_wraps_exists():
+    # bench/spans.py wraps these module attributes for its traced runs, and
+    # its tests assert that none is absent; a removed one fails here first.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    # Tracer.install wraps the last three by hand, outside HOOKS.
+    hooks = [(module, attr) for module, attr, _ in spans.HOOKS]
+    hooks += [("report", "screen"), ("screening", "brentq"), ("screening", "solve_case")]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in hooks
+        if not callable(getattr(importlib.import_module(f"globtop.{module}"), attr, None))
+    ]
+    assert missing == []

@@ -139,6 +139,10 @@ class TestDesirability:
         assert gt.desirability(1.0) == pytest.approx(0.8, rel=1e-15)
         assert gt.desirability(3.0, 1.0, 5.0) == 0.5
 
+    def test_an_infinite_bound_scores_every_finite_deflection_one(self):
+        for w in (0.0, 5.0, 1e300):
+            assert gt.desirability(w, 0.0, math.inf) == 1.0
+
     def test_nan_rejected(self):
         with pytest.raises(InputDomainError):
             gt.desirability(float("nan"))
@@ -350,16 +354,16 @@ class TestScreenFem:
         assert sorted(builds) == [0.35, 0.4]
 
     def test_root_find_solve_count(self, monkeypatch, library, reference_cap, criteria):
-        from globtop import screening
+        from globtop import fem
 
         solves = []
-        original = screening.solve_case
+        original = fem.solve_apex
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             solves.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(screening, "solve_case", counted)
+        monkeypatch.setattr(fem, "solve_apex", counted)
         gt.screen(
             library, reference_cap, criteria, "fem", fem_mesh=gt.mesh_cap(reference_cap, 96)
         )
@@ -372,16 +376,16 @@ class TestScreenFem:
     _BAD_SEED_UM = 20.0
 
     def _recorded_root(self, monkeypatch, material, reference_cap, criteria, seed_um):
-        from globtop import screening
+        from globtop import fem, screening
 
         solved = []
-        solve = screening.solve_case
+        solve = fem.solve_apex
 
-        def recorded(mesh, t, *args):
+        def recorded(mesh, t, *args, **kwargs):
             solved.append(t)
-            return solve(mesh, t, *args)
+            return solve(mesh, t, *args, **kwargs)
 
-        monkeypatch.setattr(screening, "solve_case", recorded)
+        monkeypatch.setattr(fem, "solve_apex", recorded)
         root = screening._fem_min_thickness(
             material, reference_cap, gt.mesh_cap(reference_cap, 16), gt.atm_to_pa(100.0),
             criteria.deflection_limit_um, "clamped", None if seed_um is None else math.log(seed_um),

@@ -228,6 +228,11 @@ class TestScreeningFit:
         assert fit.material_mean("Polyimide") == pytest.approx(30.0, rel=1e-12)
         assert fit.ss_residual < 1e-18
 
+    def test_responses_whose_squares_overflow_are_out_of_range(self, plan):
+        column = [1e300 * (1.0 + i) for i in range(9)]
+        with pytest.raises(InputDomainError, match="sums of squares overflow"):
+            gt.fit_screening_model(gt.realize_responses(plan, column))
+
     def test_order_of_the_results_does_not_change_a_bit(self, library):
         # Exact sums do not depend on the order of their terms; rounded ones do.
         rng = random.Random(11)

@@ -34,10 +34,9 @@ _EXPORTS = {
         "meridional_v", "profile", "radial_w",
     ),
     "doe": (
-        "ExperimentPlan", "Factor", "L9_CODES", "RunResult", "RunSpec",
-        "audit_orthogonality", "build_l9", "default_plan", "is_orthogonal",
-        "material_factor", "plan_to_csv", "read_responses_csv", "realize_responses",
-        "results_to_csv",
+        "ExperimentPlan", "L9_CODES", "RunResult", "RunSpec", "audit_orthogonality",
+        "default_plan", "is_orthogonal", "plan_to_csv", "read_responses_csv",
+        "realize_responses", "results_to_csv",
     ),
     "stats": (
         "AnovaTable", "EffectTest", "ScreeningFit", "anova_from_components", "anova_table",
@@ -53,7 +52,7 @@ _EXPORTS = {
         "StudyConfig", "StudyReport", "compare_columns", "parse_config",
         "parse_config_file", "run_study",
     ),
-    "units": ("ATM_PA", "atm_to_pa", "gpa_to_pa", "pa_to_atm"),
+    "units": ("ATM_PA", "atm_to_pa"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ConfigError, GlobtopError, InputDomainError, MeshError, StageError, number, resolve
+from .errors import ConfigError, GlobtopError, InputDomainError, StageError, number, resolve
 from .geometry import CAP_ROWS, REFERENCE_GEOMETRY, CapGeometry, cap_from_config
 from .materials import MaterialLibrary, default_library, load_library_file
 from .shell_model import PROFILE_POINTS_ROW, ShellCase, apex_deflection, profile
@@ -330,9 +330,11 @@ _HANDLERS = {
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, StageError):
         return _exit_code(exc.original)
-    # A path that cannot be read or written, or a missing LAPACK, is an input
-    # or install problem, in a stage or outside one.
-    if isinstance(exc, (ConfigError, InputDomainError, MeshError, OSError, ImportError)):
+    # A validation problem (errors.py's rule: a GlobtopError that is also a
+    # ValueError), a path that cannot be read or written, or a missing LAPACK
+    # is an input or install problem, in a stage or outside one.
+    validation = isinstance(exc, GlobtopError) and isinstance(exc, ValueError)
+    if validation or isinstance(exc, (OSError, ImportError)):
         return 1
     return 2
 

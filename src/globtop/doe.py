@@ -1,4 +1,4 @@
-"""Three-factor, three-level orthogonal screening plans (L9).
+"""The three-factor, three-level orthogonal screening plan (L9).
 
 The plan crosses an encapsulant material factor with thickness and pressure
 factors using the 9-run orthogonal array: every pair of columns contains each
@@ -45,23 +45,17 @@ L9_CODES: tuple[tuple[int, int, int], ...] = (
     (+1, +1, 0),
 )
 
-_LEVELS = (-1, 0, +1)
+# Every ordered pair of the level codes -1, 0, +1.
+_LEVEL_PAIRS = {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
 
 
 def is_orthogonal(codes: Sequence[Sequence[int]]) -> bool:
-    """True if the 9x3 code matrix is a valid 3-level orthogonal array."""
+    """True if the 9x3 code matrix is a valid 3-level orthogonal array: each
+    column pair holds all 9 level pairs, so each exactly once, and then each
+    column holds each level 3 times."""
     if len(codes) != 9 or any(len(row) != 3 for row in codes):
         return False
-    for col in range(3):
-        column = [row[col] for row in codes]
-        if any(column.count(level) != 3 for level in _LEVELS):
-            return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pairs = {(row[i], row[j]) for row in codes}
-            if len(pairs) != 9:
-                return False
-    return True
+    return all({(row[i], row[j]) for row in codes} == _LEVEL_PAIRS for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def audit_orthogonality(codes: Sequence[Sequence[int]]) -> None:
@@ -71,41 +65,6 @@ def audit_orthogonality(codes: Sequence[Sequence[int]]) -> None:
             "code matrix is not a balanced 3-level orthogonal array "
             "(9 rows, each column pair covering all 9 level pairs exactly once)"
         )
-
-
-class Factor(Record):
-    """A screening factor with exactly three distinct levels, low to high."""
-
-    name: str
-    levels: tuple
-    kind: str  # "categorical" or "continuous"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("categorical", "continuous"):
-            raise ConfigError(f"factor kind must be categorical or continuous, got {self.kind!r}")
-        if len(self.levels) != 3:
-            raise ConfigError(
-                f"factor {self.name!r} needs exactly 3 levels, got {len(self.levels)}"
-            )
-        if len(set(self.levels)) != 3:
-            raise ConfigError(f"factor {self.name!r} has duplicate levels")
-        if self.kind == "continuous":
-            vals = [float(v) for v in self.levels]
-            if not all(math.isfinite(v) for v in vals):
-                raise ConfigError(f"factor {self.name!r} has non-finite levels")
-            if not vals[0] < vals[1] < vals[2]:
-                raise ConfigError(
-                    f"factor {self.name!r} levels must be strictly increasing"
-                )
-
-
-def material_factor(library: MaterialLibrary) -> Factor:
-    """Material factor over a 3-entry library, levels ordered by modulus."""
-    if len(library) != 3:
-        raise ConfigError(
-            f"material factor needs a 3-entry library, got {len(library)}"
-        )
-    return Factor(name="material", levels=library.sorted_by_modulus(), kind="categorical")
 
 
 class RunSpec(Record):
@@ -121,40 +80,12 @@ class RunSpec(Record):
 class ExperimentPlan(Record):
     """A realized L9 plan; orthogonality is re-audited on construction."""
 
-    factors: tuple[Factor, Factor, Factor]
     runs: tuple[RunSpec, ...]
 
     def __post_init__(self) -> None:
         audit_orthogonality([r.codes for r in self.runs])
         if [r.run for r in self.runs] != list(range(1, 10)):
             raise ConfigError("plan runs must be numbered 1..9 in order")
-
-
-def build_l9(
-    materials: Factor, thickness_um: Factor, pressure_atm: Factor
-) -> ExperimentPlan:
-    """Build the pinned 9-run plan from three 3-level factors.
-
-    The first factor must be the categorical material factor; the other two
-    are continuous thickness (um) and pressure (atm).
-    """
-    if materials.kind != "categorical":
-        raise ConfigError("first factor must be the categorical material factor")
-    for f in (thickness_um, pressure_atm):
-        if f.kind != "continuous":
-            raise ConfigError(f"factor {f.name!r} must be continuous")
-    runs = []
-    for i, (cm, ct, cp) in enumerate(L9_CODES, start=1):
-        runs.append(
-            RunSpec(
-                run=i,
-                codes=(cm, ct, cp),
-                material=materials.levels[cm + 1],
-                thickness_um=float(thickness_um.levels[ct + 1]),
-                pressure_atm=float(pressure_atm.levels[cp + 1]),
-            )
-        )
-    return ExperimentPlan(factors=(materials, thickness_um, pressure_atm), runs=tuple(runs))
 
 
 THICKNESS_LEVELS_UM = (150.0, 200.0, 250.0)
@@ -183,12 +114,16 @@ def default_plan(
     thickness_levels_um: Sequence[float] = THICKNESS_LEVELS_UM,
     pressure_levels_atm: Sequence[float] = PRESSURE_LEVELS_ATM,
 ) -> ExperimentPlan:
-    """The standard screening plan over a 3-material library."""
-    return build_l9(
-        material_factor(library),
-        Factor("thickness_um", plan_levels("thickness_levels_um", thickness_levels_um, True), "continuous"),
-        Factor("pressure_atm", plan_levels("pressure_levels_atm", pressure_levels_atm, False), "continuous"),
-    )
+    """The L9 screening plan over a 3-material library and two level triples."""
+    if len(library) != 3:
+        raise ConfigError(f"material factor needs a 3-entry library, got {len(library)}")
+    materials = library.sorted_by_modulus()
+    thickness = plan_levels("thickness_levels_um", thickness_levels_um, True)
+    pressure = plan_levels("pressure_levels_atm", pressure_levels_atm, False)
+    return ExperimentPlan(runs=tuple(
+        RunSpec(run, (cm, ct, cp), materials[cm + 1], thickness[ct + 1], pressure[cp + 1])
+        for run, (cm, ct, cp) in enumerate(L9_CODES, start=1)
+    ))
 
 
 class RunResult(Record):

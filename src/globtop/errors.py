@@ -45,8 +45,8 @@ class SolverError(GlobtopError):
     """A numerical solve failed (factorization, root find, convergence)."""
 
 
-class FitError(GlobtopError):
-    """A model fit is impossible or rank deficient."""
+class FitError(GlobtopError, ValueError):
+    """The fit's input is not a balanced 9-run plan with finite responses."""
 
 
 class ResponderError(GlobtopError):

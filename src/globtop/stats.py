@@ -233,10 +233,11 @@ class ScreeningFit(Record):
     responses: tuple[float, ...]
     fitted: tuple[float, ...]
 
-    df_material: int = 2
-    df_thickness: int = 1
-    df_pressure: int = 1
-    df_residual: int = 4
+    # The plan fixes the degrees of freedom: class constants, not fields.
+    df_material = 2
+    df_thickness = 1
+    df_pressure = 1
+    df_residual = 4
 
     @property
     def mse(self) -> float:
@@ -298,8 +299,11 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
     # The audited plan is balanced and orthogonal, so least squares decouples:
     # each material coefficient is its level mean and each slope is its own
     # contrast sum(x_c * y) / sum(x_c**2).  Every sum is exact (fsum), so the
-    # fit does not depend on the order of the results.  Responses near the
-    # top of the float range overflow a square or a sum of squares.
+    # fit does not depend on the order of the results.  Values near the ends
+    # of the float range leave it: a sum, a square or inf - inf raises, a
+    # product overflows to inf silently, and the squares of levels that lie
+    # too close together underflow to 0.
+    source = results[0].source
     try:
         t_mean = math.fsum(thicknesses) / 9.0
         p_mean = math.fsum(pressures) / 9.0
@@ -316,8 +320,8 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
         slope_p = math.fsum(x * v for x, v in zip(p_c, y)) / p_ss
         fitted = [means[n] + slope_t * tc + slope_p * pc for n, tc, pc in zip(names, t_c, p_c)]
 
-        return ScreeningFit(
-            source=results[0].source,
+        fit = ScreeningFit(
+            source=source,
             material_names=tuple(mat_levels),
             material_means=tuple(means[n] for n in mat_levels),
             grand_mean=grand,
@@ -334,10 +338,17 @@ def fit_screening_model(results: Sequence[RunResult]) -> ScreeningFit:
             responses=tuple(y),
             fitted=tuple(fitted),
         )
-    except OverflowError as exc:
+        sums = (fit.ss_material, fit.ss_thickness, fit.ss_pressure, fit.ss_residual,
+                fit.ss_total_corrected, fit.ss_total_uncorrected)
+    except ZeroDivisionError as exc:
         raise InputDomainError(
-            f"{results[0].source} responses are out of range: their sums of squares overflow"
+            f"{source} thickness or pressure levels are too close together: their squares underflow"
         ) from exc
+    except (OverflowError, ValueError):
+        sums = (math.inf,)
+    if not all(map(math.isfinite, sums)):
+        raise InputDomainError(f"{source} responses are out of range: their sums of squares overflow")
+    return fit
 
 
 class EffectTest(Record):
@@ -410,8 +421,17 @@ def analysis_json(fit: ScreeningFit, anova: AnovaTable, effects: Sequence[Effect
             },
         },
         "anova": {
-            "rows": [r.as_dict() for r in anova.rows],
+            "rows": [_json_row(r) for r in anova.rows],
             "ss_total_uncorrected": anova.ss_total_uncorrected,
         },
-        "effects": [e.as_dict() for e in effects],
+        "effects": [_json_row(e) for e in effects],
     }
+
+
+def _json_row(row: AnovaRow | EffectTest) -> dict:
+    """``row.as_dict()``, with a degenerate infinite F as the string "inf":
+    JSON has no Infinity literal."""
+    doc = row.as_dict()
+    if doc["f"] == math.inf:
+        doc["f"] = "inf"
+    return doc

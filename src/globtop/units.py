@@ -29,13 +29,3 @@ def atm_to_pa(p_atm: float, atm_pa: float = ATM_PA) -> float:
     1.0e5 Pa); the default is the standard 101325 Pa.
     """
     return p_atm * atm_pa
-
-
-def pa_to_atm(p_pa: float, atm_pa: float = ATM_PA) -> float:
-    """Convert a pressure in pascals to atmospheres."""
-    return p_pa / atm_pa
-
-
-def gpa_to_pa(e_gpa: float) -> float:
-    """Convert a modulus in GPa to Pa."""
-    return e_gpa * GPA_PA

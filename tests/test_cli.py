@@ -21,7 +21,7 @@ from globtop.screening import BOUNDARY_CONDITIONS, CRITERIA_ROWS, FEM_ROWS
 from globtop.shell_model import PROFILE_POINTS_ROW
 from globtop.units import ATM_PA_ROW
 
-from .conftest import HIDE_NUMPY_LAPACK, SIMULATED_UM
+from .conftest import HIDE_NUMPY_LAPACK, PLAN_ROWS, SIMULATED_UM
 
 
 def run_cli(capsys, *argv):
@@ -605,6 +605,19 @@ class TestPlan:
         assert "1,Polyimide,300,30,-1,1,1" in out
 
 
+# The default plan's rows of a responses file, each a list of its cells, with
+# the simulated column, or with a column of the thickness alone, which the
+# fit matches exactly.
+_PLAN_CELLS = [[str(run), m, f"{t:g}", f"{p:g}"] for run, (m, t, p) in enumerate(PLAN_ROWS, start=1)]
+_SIMULATED_ROWS = [[*cells, repr(y)] for cells, y in zip(_PLAN_CELLS, SIMULATED_UM)]
+_THICKNESS_ONLY_ROWS = [[*cells, repr(t / 50.0)] for cells, (_, t, _) in zip(_PLAN_CELLS, PLAN_ROWS)]
+
+
+def _write_responses(path, rows):
+    header = ["run", "material", "thickness_um", "pressure_atm", "response_um"]
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]), encoding="utf-8")
+
+
 class TestAnova:
     @pytest.fixture()
     def responses_file(self, tmp_path, external_results):
@@ -642,6 +655,37 @@ class TestAnova:
         )
         assert code == 1
         assert "error:" in err
+
+    # Files that are not a balanced 9-run plan: a row short, a thickness
+    # level on four runs, and an infinite response.
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (_SIMULATED_ROWS[:8], "screening fit needs exactly 9 results, got 8"),
+            (
+                [[*_SIMULATED_ROWS[0][:2], "150", *_SIMULATED_ROWS[0][3:]], *_SIMULATED_ROWS[1:]],
+                "factor 'thickness_um' is unbalanced across its levels",
+            ),
+            ([*_SIMULATED_ROWS[:8], [*_PLAN_CELLS[8], "inf"]], "responses contain non-finite values"),
+        ],
+        ids=["eight_rows", "unbalanced_thickness", "infinite_response"],
+    )
+    def test_a_file_that_is_not_a_balanced_plan_is_an_input_error(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "responses.csv"
+        _write_responses(path, rows)
+        assert run_cli(capsys, "anova", "--responses", str(path)) == (1, "", f"error: {message}\n")
+
+    def test_a_zero_residual_writes_an_infinite_f_as_the_string_inf(self, capsys, tmp_path):
+        path = tmp_path / "responses.csv"
+        _write_responses(path, _THICKNESS_ONLY_ROWS)
+        code, out, _ = run_cli(capsys, "anova", "--responses", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_no_constant)
+        assert doc["anova"]["rows"][0]["f"] == "inf"
+        effects = [(e["source"], e["f"], e["degenerate"]) for e in doc["effects"]]
+        assert effects == [
+            ("material", 0.0, True), ("thickness_um", "inf", True), ("pressure_atm", 0.0, True)
+        ]
 
 
 class TestOptimize:
@@ -874,6 +918,22 @@ class TestStudy:
             _, _, t_min, _, verdict = line.rsplit(",", 4)
             assert (t_min, verdict) == ("0.0000", "pass")
 
+    def test_an_additive_external_column_writes_an_infinite_f_as_the_string_inf(self, capsys, tmp_path):
+        config = tmp_path / "study.json"
+        doc = {
+            "sources": ["analytical", "external"],
+            "external": {"simulated_um": [t / 50.0 for _, t, _ in PLAN_ROWS]},
+            "profile_points": 5,
+        }
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "study", "--config", str(config), "--out", str(out_dir))
+        assert code == 0, err
+        for name in ("report.json", "anova_external.json", "effects_external.json"):
+            text = (out_dir / name).read_text(encoding="utf-8")
+            json.loads(text, parse_constant=_no_constant)
+            assert '"f": "inf"' in text
+
 
 # -- every drawn command line ends in exit 0 or 1 ------------------------------
 
@@ -956,3 +1016,66 @@ def test_every_command_line_ends_in_exit_0_or_1(capsys, tmp_path, monkeypatch, a
             json.loads(out, parse_constant=_no_constant)
     else:
         assert out == "" and err.count("\n") >= 1
+
+
+# -- every drawn responses file ends in exit 0 or 1 ----------------------------
+
+_CELL_EXTREMES = ["0", "-0", "1e-320", "1e300", "inf", "-inf", "nan", "x", ""]
+
+
+@st.composite
+def _responses_rows(draw):
+    """The default plan's 9 rows with a drawn response column, then one edit.
+
+    The column is the simulated one, or one of a single factor: a value per
+    material, or a multiple of the thickness or of the pressure, which the
+    fit matches exactly, so its F ratios are degenerate.  The edit drops,
+    duplicates or permutes rows, or puts an extreme into one cell.
+    """
+    factor = draw(st.sampled_from([None, 0, 1, 2]))
+    if factor is None:
+        column = SIMULATED_UM
+    else:
+        scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e200]))
+        if factor == 0:
+            values = draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+            means = dict(zip(gt.default_library().names, values))
+            column = [scale * means[m] for m, _, _ in PLAN_ROWS]
+        else:
+            column = [scale * row[factor] for row in PLAN_ROWS]
+    rows = [[*cells, repr(y)] for cells, y in zip(_PLAN_CELLS, column)]
+    edit = draw(st.sampled_from(["none", "drop", "duplicate", "permute", "cell"]))
+    i = draw(st.integers(0, 8))
+    if edit == "drop":
+        del rows[i]
+    elif edit == "duplicate":
+        rows.insert(i, rows[i])
+    elif edit == "permute":
+        rows = draw(st.permutations(rows))
+    elif edit == "cell":
+        rows[i][draw(st.integers(0, 4))] = draw(st.sampled_from(_CELL_EXTREMES))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_responses_rows())
+# The defects found: a file that is not a balanced plan exited 2, a zero
+# residual printed F as the JSON constant Infinity, and equal responses of
+# 1e200 printed their uncorrected total, whose squares overflow, as Infinity.
+@example(_SIMULATED_ROWS[:8])
+@example(_THICKNESS_ONLY_ROWS)
+@example([[*cells, "1e200"] for cells in _PLAN_CELLS])
+def test_every_responses_file_ends_in_exit_0_or_1(capsys, tmp_path, rows):
+    path = tmp_path / "responses.csv"
+    _write_responses(path, rows)
+    for fmt in ("text", "csv", "json"):
+        # A traceback fails here.
+        code, out, err = run_cli(capsys, "anova", "--responses", str(path), "--format", fmt)
+        assert code in (0, 1), err
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert "nan" not in out.lower()
+            if fmt == "json":
+                json.loads(out, parse_constant=_no_constant)

@@ -63,37 +63,30 @@ class TestCodeMatrix:
 
 
 class TestFactor:
-    def test_levels_must_be_three(self):
-        with pytest.raises(ConfigError):
-            gt.Factor("thickness_um", (150.0, 250.0), "continuous")
+    """The level rules of the plan's three factors, through default_plan."""
 
-    def test_duplicate_levels_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            gt.Factor("thickness_um", (150.0, 150.0, 250.0), "continuous")
+    def test_levels_must_be_three(self, library):
+        with pytest.raises(ConfigError, match="thickness_levels_um must be a list of 3"):
+            gt.default_plan(library, (150.0, 250.0))
 
-    def test_continuous_levels_must_increase(self):
-        with pytest.raises(ConfigError, match="increasing"):
-            gt.Factor("thickness_um", (250.0, 200.0, 150.0), "continuous")
+    def test_duplicate_levels_rejected(self, library):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            gt.default_plan(library, (150.0, 150.0, 250.0))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            gt.Factor("thickness_um", (1.0, 2.0, 3.0), "fuzzy")
+    def test_continuous_levels_must_increase(self, library):
+        with pytest.raises(ConfigError, match="pressure_levels_atm must be strictly increasing"):
+            gt.default_plan(library, pressure_levels_atm=(100.0, 90.0, 80.0))
 
-    def test_material_factor_orders_by_modulus(self, library):
-        factor = gt.material_factor(library)
-        assert factor.kind == "categorical"
-        assert [m.name for m in factor.levels] == [
-            "Polyimide",
-            "Parylene C",
-            "Carbon epoxy resin",
-        ]
+    def test_material_factor_orders_by_modulus(self, plan):
+        by_code = {spec.codes[0]: spec.material.name for spec in plan.runs}
+        assert by_code == {-1: "Polyimide", 0: "Parylene C", 1: "Carbon epoxy resin"}
 
     def test_material_factor_needs_three_entries(self):
         lib = gt.MaterialLibrary(
             materials=(gt.Material("a", 1.0, 0.3), gt.Material("b", 2.0, 0.3))
         )
-        with pytest.raises(ConfigError):
-            gt.material_factor(lib)
+        with pytest.raises(ConfigError, match="^material factor needs a 3-entry library, got 2$"):
+            gt.default_plan(lib)
 
 
 class TestPlan:
@@ -134,21 +127,16 @@ class TestPlan:
     def test_runs_numbered_one_to_nine(self, plan):
         assert [r.run for r in plan.runs] == list(range(1, 10))
 
-    def test_build_rejects_swapped_factor_kinds(self, library):
-        cont = gt.Factor("thickness_um", (150.0, 200.0, 250.0), "continuous")
-        with pytest.raises(ConfigError):
-            gt.build_l9(cont, cont, cont)
-
     def test_plan_revalidates_run_numbering(self, plan):
         shuffled = plan.runs[1:] + plan.runs[:1]
         with pytest.raises(ConfigError, match="numbered"):
-            gt.ExperimentPlan(factors=plan.factors, runs=shuffled)
+            gt.ExperimentPlan(runs=shuffled)
 
     def test_plan_revalidates_orthogonality(self, plan):
         runs = list(plan.runs)
         runs[0] = replaced(runs[0], codes=(0, 1, 1))
         with pytest.raises(ConfigError):
-            gt.ExperimentPlan(factors=plan.factors, runs=tuple(runs))
+            gt.ExperimentPlan(runs=tuple(runs))
 
 
 class TestRealizeResponses:

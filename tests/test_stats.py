@@ -233,6 +233,18 @@ class TestScreeningFit:
         with pytest.raises(InputDomainError, match="sums of squares overflow"):
             gt.fit_screening_model(gt.realize_responses(plan, column))
 
+    # Products overflow to inf without raising: equal responses square to
+    # inf, and a thickness contrast times 1e307 is inf - inf in its sum.
+    @pytest.mark.parametrize("response", [1e200, 1e307])
+    def test_responses_whose_products_overflow_are_out_of_range(self, plan, response):
+        with pytest.raises(InputDomainError, match="sums of squares overflow"):
+            gt.fit_screening_model(gt.realize_responses(plan, [response] * 9))
+
+    def test_levels_whose_squares_underflow_are_out_of_range(self, library):
+        plan = gt.default_plan(library, (1e-200, 2e-200, 3e-200))
+        with pytest.raises(InputDomainError, match="levels are too close together"):
+            gt.fit_screening_model(gt.realize_responses(plan, SIMULATED_UM))
+
     def test_order_of_the_results_does_not_change_a_bit(self, library):
         # Exact sums do not depend on the order of their terms; rounded ones do.
         rng = random.Random(11)
